@@ -11,9 +11,10 @@ a consumer of that path would pay:
   numpy arrays (as cached from the ``.npz`` trace cache) are handed to
   :func:`replay_hlatch_window` in one call.
 * ``test_bench_columnar_sharded`` — the ``.ltrace`` path: open the
-  mmapped container, plan shards (``REPRO_TRACE_SHARDS`` applies),
-  replay them, and merge — i.e. :func:`repro.trace.replay_columnar`
-  from a cold file handle.
+  mmapped container, replay it as one shard, and merge — i.e.
+  :func:`repro.trace.replay_columnar` from a cold file handle.  (The
+  name predates the single in-process path; it is kept so the
+  committed baseline and the watchdog stay valid.)
 
 The H-LATCH stack is constructed and bulk-loaded in each round's setup
 for the first two (that cost is identical across backends); the
@@ -26,10 +27,13 @@ Run standalone (the CI job uploads the JSON as ``BENCH_trace.json``)::
     PYTHONPATH=src python -m pytest benchmarks/test_bench_trace.py -q \
         --benchmark-json=BENCH_trace.json
 
-``test_columnar_speedup_floor`` asserts the ISSUE 8 acceptance floor —
-columnar replay ≥ 10x over the object path end-to-end — which holds
+``test_columnar_speedup_floor`` asserts two bounds on the columnar
+path's best-of time: ≥ 10x over the object path end-to-end, which holds
 with wide margin (the kernels alone measure ~19x over a plain scalar
-loop, and the object path additionally pays tuple materialisation).
+loop, and the object path additionally pays tuple materialisation),
+and ≤ 1.5x the vector path — the best non-columnar replay — so opening
+the container, loading the taint layout and the shard/merge seam never
+cost more than half again the bare kernels.
 """
 
 from __future__ import annotations
@@ -41,10 +45,12 @@ from conftest import access_trace_for, emit
 from repro.hlatch.system import HLatchSystem
 from repro.kernels import replay_hlatch_window
 from repro.trace import replay_columnar, save_columnar_trace
-from repro.trace.shard import resolve_shard_count
 
 WORKLOAD = "gcc"
 MIN_SPEEDUP = 10.0
+#: Columnar best-of time over the vector path's best-of time.
+MAX_OVER_VECTOR = 1.5
+SHARDS = 1
 
 
 def _fresh_system(trace) -> HLatchSystem:
@@ -62,8 +68,8 @@ def _vector_replay(system, trace) -> None:
     replay_hlatch_window(system, trace.addresses, trace.sizes, trace.is_write)
 
 
-def _columnar_replay(path, shard_count) -> None:
-    replay_columnar(path, baseline_config=None, shards=shard_count)
+def _columnar_replay(path) -> None:
+    replay_columnar(path, baseline_config=None, shards=SHARDS)
 
 
 def _ltrace_path():
@@ -95,15 +101,13 @@ def test_bench_vector_npz(benchmark):
 
 def test_bench_columnar_sharded(benchmark):
     path = _ltrace_path()
-    shards = resolve_shard_count(None)
-    benchmark.pedantic(_columnar_replay, args=(path, shards), rounds=5)
+    benchmark.pedantic(_columnar_replay, args=(path,), rounds=5)
 
 
 def test_columnar_speedup_floor():
-    """The acceptance floor: columnar replay ≥ 10x over the object path."""
+    """Columnar replay ≥ 10x the object path and ≤ 1.5x the vector path."""
     trace = access_trace_for(WORKLOAD)
     path = _ltrace_path()
-    shards = resolve_shard_count(None)
 
     def best_of(run, rounds: int) -> float:
         times = []
@@ -116,14 +120,25 @@ def test_columnar_speedup_floor():
     def object_round():
         _object_replay(_fresh_system(trace), trace)
 
+    def vector_round():
+        _vector_replay(_fresh_system(trace), trace)
+
     objected = best_of(object_round, 3)
-    columnar = best_of(lambda: _columnar_replay(path, shards), 5)
+    # Both sides pay for building and bulk-loading their H-LATCH
+    # system, as the object path does above: the columnar path loads
+    # the taint layout from the container inside its own timed region.
+    vectored = best_of(vector_round, 5)
+    columnar = best_of(lambda: _columnar_replay(path), 5)
     speedup = objected / columnar
+    over_vector = columnar / vectored
     emit(
         "BENCH_trace_speedup",
         f"end-to-end replay ({WORKLOAD}, {trace.access_count} accesses, "
-        f"{shards} shard(s)): object {objected * 1e3:.1f} ms, "
+        f"{SHARDS} shard): object {objected * 1e3:.1f} ms, "
+        f"vector {vectored * 1e3:.1f} ms, "
         f"columnar {columnar * 1e3:.1f} ms, "
-        f"speedup {speedup:.1f}x (floor {MIN_SPEEDUP:.0f}x)",
+        f"speedup {speedup:.1f}x (floor {MIN_SPEEDUP:.0f}x), "
+        f"columnar/vector {over_vector:.2f}x (ceiling {MAX_OVER_VECTOR}x)",
     )
     assert speedup >= MIN_SPEEDUP
+    assert over_vector <= MAX_OVER_VECTOR

@@ -40,8 +40,6 @@ _HEADLINES = {
     "hlatch": "hlatch.avoided_percent",
     "slatch": "slatch.overhead",
     "chaos": "chaos.value",
-    "trace_replay": "hlatch.avoided_percent",
-    "trace_shard": "trace.shard.accesses",
 }
 
 
@@ -122,17 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-job progress on stderr",
     )
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="run cache-simulation jobs through the zero-copy columnar "
-             "trace path (trace_replay kind) instead of the object path; "
-             "results are bit-identical",
-    )
-    parser.add_argument(
-        "--shards", default=None, metavar="N|auto",
-        help="with --columnar: shard count per replay "
-             "(default REPRO_TRACE_SHARDS, else 1)",
-    )
     return parser
 
 
@@ -175,30 +162,7 @@ def _expand_suites(args) -> List[JobSpec]:
                 continue
             seen.add(spec)
             jobs.append(spec)
-    if getattr(args, "columnar", False):
-        jobs = [_columnar_spec(spec, args.shards) for spec in jobs]
     return jobs
-
-
-def _columnar_spec(spec: JobSpec, shards) -> JobSpec:
-    """Rewrite an ``hlatch`` job onto the columnar replay path.
-
-    The resolved shard count is stamped into the spec params (never
-    read from the environment inside the worker), so the content-
-    addressed cache can distinguish runs only when the results could
-    actually differ — which, by the merge-exactness invariant, they
-    can't; the stamp exists so a cache hit is an honest replay of the
-    same computation.
-    """
-    if spec.kind != "hlatch":
-        return spec
-    from repro.trace.shard import resolve_shard_count
-
-    params = spec.params_dict()
-    params["shards"] = resolve_shard_count(shards)
-    return JobSpec.make(
-        "trace_replay", spec.workload, seed=spec.seed, **params
-    )
 
 
 def _progress_printer(quiet: bool):

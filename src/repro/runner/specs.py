@@ -41,14 +41,8 @@ from repro.workloads.storage import _FORMAT_VERSION as TRACE_FORMAT_VERSION
 JOB_KEY_VERSION = 2
 
 #: Experiment kinds the worker knows how to execute.  ``chaos`` is the
-#: fault-injection kind used by the fault-tolerance tests and docs;
-#: ``trace_shard`` computes one shard's summary of a columnar ``.ltrace``
-#: replay (internal to the sharded-replay fan-out), and ``trace_replay``
-#: is the user-facing whole-trace columnar replay.
-JOB_KINDS = (
-    "taint_fraction", "page_taint", "hlatch", "slatch", "chaos",
-    "trace_shard", "trace_replay",
-)
+#: fault-injection kind used by the fault-tolerance tests and docs.
+JOB_KINDS = ("taint_fraction", "page_taint", "hlatch", "slatch", "chaos")
 
 ParamValue = Union[int, float, str, bool, None]
 

@@ -200,121 +200,12 @@ def _job_chaos(spec, registry, trace_cache, in_subprocess) -> None:
     ).set(spec.param("value", 0))
 
 
-def _job_trace_shard(spec, registry, trace_cache, in_subprocess):
-    """One shard of a sharded columnar replay (internal fan-out kind).
-
-    Parameters: ``path`` (the ``.ltrace`` file — every worker maps it
-    independently; the OS page cache shares the backing pages),
-    ``start``/``stop`` (the access slice), and ``config`` (the JSON
-    blob from :func:`repro.trace.replay.shard_job_specs`).  The
-    run-compressed partial travels back in ``snapshot.meta`` — it is
-    order-sensitive merge input, not a metric.
-    """
-    from repro.trace.convert import ColumnarAccessTrace
-    from repro.trace.replay import configs_from_blob, shard_partial
-
-    latch_config, tcache_config, baseline_config = configs_from_blob(
-        str(spec.param("config"))
-    )
-    start = int(spec.param("start", 0))
-    stop = int(spec.param("stop", 0))
-    with ColumnarAccessTrace(str(spec.param("path"))) as trace:
-        from repro.hlatch.system import HLatchSystem
-
-        system = HLatchSystem(latch_config, tcache_config)
-        system.load_taint(trace.layout)
-        partial = shard_partial(
-            trace.addresses[start:stop],
-            trace.sizes[start:stop],
-            trace.is_write[start:stop],
-            system.latch,
-            tcache_config,
-            baseline_config,
-        )
-    registry.gauge(
-        "trace.shard.accesses", unit="accesses",
-        description="Accesses summarised by this trace shard",
-    ).set(partial.count)
-    return {"trace_shard": partial.to_wire()}
-
-
-def _job_trace_replay(spec, registry, trace_cache, in_subprocess) -> None:
-    """Whole-trace columnar replay (Tables 6/7 via the zero-copy path).
-
-    Parameters: ``path`` points at an existing ``.ltrace``; without it
-    the worker generates the workload's access trace (``trace_window``
-    scale, shared through the trace cache like every other kind) and
-    replays its in-memory columnar form.  ``shards`` is the resolved
-    shard count — it is stamped into the spec (and thus the cache key)
-    by the caller, never read from the environment here, so cached
-    snapshots can't go stale when ``REPRO_TRACE_SHARDS`` changes.
-    """
-    from repro.trace.convert import columnar_trace_bytes
-    from repro.trace.replay import publish_trace_metrics, replay_columnar
-
-    path = spec.param("path")
-    shards = int(spec.param("shards", 1))
-    if path is not None:
-        source = str(path)
-    else:
-        trace = _access_trace(spec, _generator(spec), trace_cache)
-        source = columnar_trace_bytes(trace)
-    with maybe_span("worker.trace_replay", workload=spec.workload,
-                    shards=shards):
-        result = replay_columnar(source, shards=shards)
-    hlatch = result.hlatch
-    baseline = result.baseline
-    gauges = {
-        "hlatch.ctc_miss_percent": (
-            hlatch.ctc_miss_percent, "percent",
-            "CTC misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.tcache_miss_percent": (
-            hlatch.tcache_miss_percent, "percent",
-            "Precise taint-cache misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.combined_miss_percent": (
-            hlatch.combined_miss_percent, "percent",
-            "CTC + precise misses as % of accesses (Tables 6/7)",
-        ),
-        "hlatch.ctc_misses": (
-            hlatch.ctc_misses, "accesses", "CTC miss count",
-        ),
-        "hlatch.tcache_misses": (
-            hlatch.tcache_misses, "accesses", "Precise taint-cache miss count",
-        ),
-        "hlatch.avoided_percent": (
-            hlatch.misses_avoided_percent(baseline.misses), "percent",
-            "Baseline misses the LATCH stack filtered away (Tables 6/7)",
-        ),
-        "baseline.miss_percent": (
-            baseline.miss_percent, "percent",
-            "Conventional 4 KB taint-cache miss rate (Tables 6/7)",
-        ),
-        "baseline.misses": (
-            baseline.misses, "accesses", "Conventional taint-cache miss count",
-        ),
-    }
-    for name, (value, unit, description) in gauges.items():
-        registry.gauge(name, unit=unit, description=description).set(value)
-    for level, fraction in hlatch.resolution_split().items():
-        registry.gauge(
-            f"hlatch.resolved.{level}", unit="fraction",
-            description=f"Accesses resolved at the {level} level (Figure 16)",
-        ).set(fraction)
-    # Deterministic trace.* rows only; trace.merge.seconds is wall
-    # clock and must stay out of cacheable job snapshots.
-    publish_trace_metrics(registry, result)
-
-
 _KINDS = {
     "taint_fraction": _job_taint_fraction,
     "page_taint": _job_page_taint,
     "hlatch": _job_hlatch,
     "slatch": _job_slatch,
     "chaos": _job_chaos,
-    "trace_shard": _job_trace_shard,
-    "trace_replay": _job_trace_replay,
 }
 
 
@@ -391,7 +282,7 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
             spans.event("runner.heartbeat", job=spec.job_id, phase="start")
         with maybe_span("worker.job", job=spec.job_id, job_kind=spec.kind,
                         workload=spec.workload):
-            extra_meta = run_kind(
+            run_kind(
                 spec, registry, trace_cache,
                 bool(payload.get("in_subprocess")),
             )
@@ -399,10 +290,6 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
             spans.event("runner.heartbeat", job=spec.job_id, phase="end")
     snapshot = registry.snapshot()
     snapshot.meta.update({"job": spec.to_dict()})
-    # Kinds may return structured results that are not metrics (e.g. a
-    # trace shard's run-compressed partial); they ride in the meta.
-    if extra_meta:
-        snapshot.meta.update(extra_meta)
     return {
         "snapshot": snapshot.to_dict(),
         "duration": time.perf_counter() - started,

@@ -108,12 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ltrace", type=Path, metavar="PATH",
         help="columnar mode: replay a recorded .ltrace access trace "
-             "through the H-LATCH stack (zero-copy, sharded)",
-    )
-    parser.add_argument(
-        "--shards", default=None, metavar="N|auto",
-        help="columnar mode: shard count for the sharded replay "
-             "(default: REPRO_TRACE_SHARDS, else 1)",
+             "through the H-LATCH stack (zero-copy)",
     )
     parser.add_argument(
         "--record-trace", type=Path, metavar="PATH",
@@ -274,15 +269,14 @@ def run_program(args) -> StatsSnapshot:
 
 
 def run_ltrace(args) -> StatsSnapshot:
-    """Columnar mode: sharded zero-copy replay of an ``.ltrace`` file.
+    """Columnar mode: zero-copy replay of an ``.ltrace`` file.
 
-    Counters are bit-identical to the scalar object path whatever the
-    shard count; only the ``trace.*`` rows (and wall clock) vary.
+    Counters are bit-identical to the scalar object path.
     """
     from repro.trace import publish_trace_metrics, replay_columnar
 
     registry = MetricsRegistry()
-    result = replay_columnar(args.ltrace, shards=args.shards)
+    result = replay_columnar(args.ltrace)
     result.system.publish_metrics(registry)
     # An ad-hoc CLI registry may carry wall-clock rows (unlike cached
     # job snapshots, which must stay machine-independent).

@@ -1,4 +1,4 @@
-"""repro.trace — the zero-copy columnar trace format and sharded replay.
+"""repro.trace — the zero-copy columnar trace format and its replay.
 
 The ``.ltrace`` container (ISSUE 8) is the on-disk/wire representation
 of the reproduction's traces: versioned, checksummed, mmap-friendly
@@ -13,18 +13,17 @@ per-event python objects.
 * :mod:`~repro.trace.record` — event-trace kind: a
   :class:`TraceRecorder` observer that captures a CPU's full commit
   stream, and :func:`replay_events` to drive any observer from it;
-* :mod:`~repro.trace.shard` — shard planning (epoch-snapped cuts, the
-  ``REPRO_TRACE_SHARDS`` knob);
-* :mod:`~repro.trace.replay` — the sharded replay: stateless
+* :mod:`~repro.trace.shard` — shard planning (epoch-snapped cuts,
+  explicit cut lists);
+* :mod:`~repro.trace.replay` — the in-process sharded replay: stateless
   :func:`shard_partial` per shard, exact carry-over
-  :func:`merge_partials` in the parent, in-process and runner-pool
-  entry points.
+  :func:`merge_partials`, and the :func:`replay_columnar` entry point.
 
-The load-bearing invariant, enforced by ``tests/test_trace_format.py``
-/ ``tests/test_trace_shards.py`` and re-proved by ``repro-check``'s
-``columnar`` oracle path: a sharded multicore columnar replay is
-bit-identical to the single-core scalar replay, for any shard plan.
-``docs/TRACE.md`` documents the format and knobs.
+The load-bearing invariant, enforced by the format conformance and
+shard property test suites and re-proved by ``repro-check``'s
+``columnar`` oracle path: a sharded columnar replay is bit-identical
+to the scalar object replay, for any shard plan.  ``docs/TRACE.md``
+documents the format.
 """
 
 from repro.trace.convert import (
@@ -52,28 +51,20 @@ from repro.trace.record import (
 from repro.trace.replay import (
     ColumnarReplayResult,
     ShardPartial,
-    configs_from_blob,
     merge_baseline_partials,
     merge_partials,
     publish_trace_metrics,
-    replay_baseline_columnar,
     replay_columnar,
-    replay_columnar_pooled,
-    replay_hlatch_columnar,
-    shard_job_specs,
     shard_partial,
 )
 from repro.trace.shard import (
-    SHARDS_ENV_VAR,
     explicit_plan,
     plan_shards,
-    resolve_shard_count,
 )
 
 __all__ = [
     "ACCESS_KIND",
     "EVENT_KIND",
-    "SHARDS_ENV_VAR",
     "TRACE_MAGIC",
     "TRACE_VERSION",
     "ColumnarAccessTrace",
@@ -83,7 +74,6 @@ __all__ = [
     "TraceRecorder",
     "access_window",
     "columnar_trace_bytes",
-    "configs_from_blob",
     "epoch_starts",
     "explicit_plan",
     "iter_events",
@@ -92,14 +82,9 @@ __all__ = [
     "merge_partials",
     "plan_shards",
     "publish_trace_metrics",
-    "replay_baseline_columnar",
     "replay_columnar",
-    "replay_columnar_pooled",
     "replay_events",
-    "replay_hlatch_columnar",
-    "resolve_shard_count",
     "save_columnar_trace",
-    "shard_job_specs",
     "shard_partial",
     "to_bytes",
     "write_columnar",

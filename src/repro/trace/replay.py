@@ -6,8 +6,7 @@ The replay is split into two halves with a clean algebraic seam:
   slices the mmapped columns (no copies, no per-event objects), runs
   the pure-CTT kernels (TLB screen flags, CTC probe flags, taint-cache
   line flattening), and run-compresses every LRU lookup sequence down
-  to its boundary runs.  Shards are independent: they can run in this
-  process, across a pool, or on another machine.
+  to its boundary runs.
 * :func:`merge_partials` — the **stateful** carry-in/carry-out merge.
   The parent feeds each structure's concatenated boundary runs through
   one resumable :class:`~repro.kernels.lru.LruState` in shard order and
@@ -20,17 +19,15 @@ untouched (see :class:`~repro.kernels.lru.LruState`).  The resulting
 snapshot is therefore bit-identical to a single-core scalar replay for
 **any** shard plan — the conformance and property suites hold this
 line, and ``repro-check``'s ``columnar`` oracle path re-proves it
-against the live object pipeline.
+against the live object pipeline.  :func:`replay_columnar` runs every
+shard in the calling process.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +54,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.spans import maybe_span
 from repro.trace.convert import ColumnarAccessTrace
 from repro.trace.format import PathLike
-from repro.trace.shard import plan_shards, resolve_shard_count
+from repro.trace.shard import plan_shards
 
 _MASK32 = 0xFFFFFFFF
 
@@ -91,69 +88,6 @@ class ShardPartial:
     baseline_count: int = 0
     baseline_runs: np.ndarray = None  # type: ignore[assignment]
     baseline_run_writes: np.ndarray = None  # type: ignore[assignment]
-
-    # --------------------------------------------------------------- wire
-
-    def to_wire(self) -> Dict[str, object]:
-        """JSON-safe form (base64 arrays) for pool-worker transport."""
-        payload: Dict[str, object] = {
-            "count": self.count,
-            "tlb_checks": self.tlb_checks,
-            "tlb_hot_checks": self.tlb_hot_checks,
-            "tlb_count": self.tlb_count,
-            "hot_count": self.hot_count,
-            "ctc_count": self.ctc_count,
-            "positives": self.positives,
-            "last_positive_address": self.last_positive_address,
-            "tcache_count": self.tcache_count,
-            "baseline_count": self.baseline_count,
-        }
-        for name in ("tlb_runs", "ctc_runs", "tcache_runs",
-                     "tcache_run_writes", "baseline_runs",
-                     "baseline_run_writes"):
-            payload[name] = _encode_array(getattr(self, name))
-        return payload
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, object]) -> "ShardPartial":
-        """Inverse of :meth:`to_wire`."""
-        last = payload["last_positive_address"]
-        return cls(
-            count=int(payload["count"]),
-            tlb_checks=int(payload["tlb_checks"]),
-            tlb_hot_checks=int(payload["tlb_hot_checks"]),
-            tlb_count=int(payload["tlb_count"]),
-            tlb_runs=_decode_array(payload["tlb_runs"]),
-            hot_count=int(payload["hot_count"]),
-            ctc_count=int(payload["ctc_count"]),
-            ctc_runs=_decode_array(payload["ctc_runs"]),
-            positives=int(payload["positives"]),
-            last_positive_address=None if last is None else int(last),
-            tcache_count=int(payload["tcache_count"]),
-            tcache_runs=_decode_array(payload["tcache_runs"]),
-            tcache_run_writes=_decode_array(payload["tcache_run_writes"]),
-            baseline_count=int(payload["baseline_count"]),
-            baseline_runs=_decode_array(payload["baseline_runs"]),
-            baseline_run_writes=_decode_array(payload["baseline_run_writes"]),
-        )
-
-
-def _encode_array(array: Optional[np.ndarray]) -> Optional[Dict[str, str]]:
-    if array is None:
-        return None
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": array.dtype.str,
-        "b64": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload) -> Optional[np.ndarray]:
-    if payload is None:
-        return None
-    return np.frombuffer(
-        base64.b64decode(payload["b64"]), dtype=np.dtype(payload["dtype"])
-    )
 
 
 # ------------------------------------------------------------ shard work
@@ -373,14 +307,27 @@ class ColumnarReplayResult:
     system: HLatchSystem
 
 
-def _loaded_system(
-    layout,
-    latch_config: LatchConfig,
-    tcache_config: TaintCacheConfig,
-) -> HLatchSystem:
-    system = HLatchSystem(latch_config, tcache_config)
-    system.load_taint(layout)
-    return system
+def _check_plan(plan: Sequence[Tuple[int, int]], n: int) -> None:
+    """Reject a plan whose ranges do not partition ``[0, n)`` in order.
+
+    Empty ranges are allowed anywhere (the merge is exact across them);
+    gaps, overlaps, reversed or out-of-window ranges are not, because
+    they would silently replay a different access sequence.
+    """
+    edge = 0
+    for start, stop in plan:
+        if start != edge or stop < start or stop > n:
+            raise ValueError(
+                f"shard plan {list(plan)!r} does not partition [0, {n}): "
+                f"range ({start}, {stop}) should start at {edge} and end "
+                f"inside the window"
+            )
+        edge = stop
+    if edge != n:
+        raise ValueError(
+            f"shard plan {list(plan)!r} does not partition [0, {n}): "
+            f"it ends at {edge}"
+        )
 
 
 def replay_columnar(
@@ -388,15 +335,17 @@ def replay_columnar(
     latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
     tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
     baseline_config: Optional[TaintCacheConfig] = CONVENTIONAL_TAINT_CACHE,
-    shards: Union[int, str, None] = None,
+    shards: int = 1,
     plan: Optional[Sequence[Tuple[int, int]]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> ColumnarReplayResult:
-    """Replay a columnar trace through the H-LATCH stack, sharded.
+    """Replay a columnar trace through the H-LATCH stack, in process.
 
-    ``shards`` follows :func:`~repro.trace.shard.resolve_shard_count`
-    (int, ``"auto"``, or None → ``REPRO_TRACE_SHARDS``); an explicit
-    ``plan`` of ``(start, stop)`` ranges overrides it (property tests).
+    ``shards`` splits the window with
+    :func:`~repro.trace.shard.plan_shards` (epoch-snapped, so fewer
+    shards may result); an explicit ``plan`` of ``(start, stop)``
+    ranges overrides it and must partition ``[0, n)`` in order (empty
+    ranges allowed, anything else raises :class:`ValueError`).
     ``baseline_config=None`` skips the conventional-cache comparison.
     ``registry`` receives the deterministic ``trace.*`` gauges (shard
     count, mapped bytes) — wall-clock timings stay out of it so the
@@ -408,10 +357,11 @@ def replay_columnar(
     try:
         n = len(trace)
         if plan is None:
-            plan = plan_shards(
-                n, resolve_shard_count(shards), trace.epoch_starts
-            )
-        system = _loaded_system(trace.layout, latch_config, tcache_config)
+            plan = plan_shards(n, shards, trace.epoch_starts)
+        else:
+            _check_plan(plan, n)
+        system = HLatchSystem(latch_config, tcache_config)
+        system.load_taint(trace.layout)
         with maybe_span("trace.replay", workload=trace.name,
                         accesses=n, shards=len(plan)):
             partials = [
@@ -452,205 +402,6 @@ def replay_columnar(
     finally:
         if opened_here:
             trace.close()
-
-
-def replay_hlatch_columnar(
-    source: Union[PathLike, bytes, ColumnarAccessTrace],
-    latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
-    tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
-    shards: Union[int, str, None] = None,
-    plan: Optional[Sequence[Tuple[int, int]]] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> HLatchReport:
-    """Columnar, sharded equivalent of :func:`repro.hlatch.run_hlatch`."""
-    return replay_columnar(
-        source, latch_config, tcache_config, baseline_config=None,
-        shards=shards, plan=plan, registry=registry,
-    ).hlatch
-
-
-def replay_baseline_columnar(
-    source: Union[PathLike, bytes, ColumnarAccessTrace],
-    config: TaintCacheConfig = CONVENTIONAL_TAINT_CACHE,
-    shards: Union[int, str, None] = None,
-    plan: Optional[Sequence[Tuple[int, int]]] = None,
-) -> BaselineReport:
-    """Columnar, sharded equivalent of :func:`repro.hlatch.run_baseline`."""
-    record_dispatch("vector")
-    opened_here = not isinstance(source, ColumnarAccessTrace)
-    trace = source if not opened_here else ColumnarAccessTrace(source)
-    try:
-        n = len(trace)
-        if plan is None:
-            plan = plan_shards(
-                n, resolve_shard_count(shards), trace.epoch_starts
-            )
-        partials = []
-        for start, stop in plan:
-            raw_addresses = classify.as_index_array(
-                trace.addresses[start:stop]
-            )
-            effective = classify.effective_sizes(trace.sizes[start:stop])
-            writes = np.asarray(trace.is_write[start:stop], dtype=bool)
-            sequence, seq_writes = tcache_kernel.line_sequence(
-                raw_addresses, effective, writes, config
-            )
-            runs, run_writes = run_boundaries(sequence, seq_writes)
-            partials.append((len(sequence), runs, run_writes))
-        cache = PreciseTaintCache(config)
-        _merge_structure(
-            LruState(ways=config.ways, num_sets=config.sets),
-            cache.stats,
-            [p[0] for p in partials],
-            [p[1] for p in partials],
-            [p[2] for p in partials],
-        )
-        return BaselineReport(
-            name=trace.name,
-            accesses=cache.stats.accesses,
-            misses=cache.stats.misses,
-        )
-    finally:
-        if opened_here:
-            trace.close()
-
-
-# ------------------------------------------------------------ pool fan-out
-
-
-def _config_blob(
-    latch_config: LatchConfig,
-    tcache_config: TaintCacheConfig,
-    baseline_config: Optional[TaintCacheConfig],
-) -> str:
-    import dataclasses
-
-    return json.dumps({
-        "latch": dataclasses.asdict(latch_config),
-        "tcache": dataclasses.asdict(tcache_config),
-        "baseline": (
-            None if baseline_config is None
-            else dataclasses.asdict(baseline_config)
-        ),
-    }, sort_keys=True)
-
-
-def configs_from_blob(
-    blob: str,
-) -> Tuple[LatchConfig, TaintCacheConfig, Optional[TaintCacheConfig]]:
-    """Decode a :func:`shard_job_specs` config blob (worker side)."""
-    payload = json.loads(blob)
-    baseline = payload.get("baseline")
-    return (
-        LatchConfig(**payload["latch"]),
-        TaintCacheConfig(**payload["tcache"]),
-        None if baseline is None else TaintCacheConfig(**baseline),
-    )
-
-
-def shard_job_specs(
-    path: PathLike,
-    name: str,
-    plan: Sequence[Tuple[int, int]],
-    latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
-    tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
-    baseline_config: Optional[TaintCacheConfig] = CONVENTIONAL_TAINT_CACHE,
-) -> List["JobSpec"]:
-    """One ``trace_shard`` job spec per plan entry.
-
-    The workload is suffixed ``#<index>`` so every shard has a unique
-    ``job_id``; configs ride along as a canonical JSON blob (and thus
-    enter the content-addressed cache key).
-    """
-    from repro.runner.specs import JobSpec
-
-    blob = _config_blob(latch_config, tcache_config, baseline_config)
-    return [
-        JobSpec.make(
-            "trace_shard", f"{name}#{index}",
-            path=str(Path(path)), start=start, stop=stop, config=blob,
-        )
-        for index, (start, stop) in enumerate(plan)
-    ]
-
-
-def replay_columnar_pooled(
-    path: PathLike,
-    latch_config: LatchConfig = HLATCH_LATCH_CONFIG,
-    tcache_config: TaintCacheConfig = HLATCH_TAINT_CACHE,
-    baseline_config: Optional[TaintCacheConfig] = CONVENTIONAL_TAINT_CACHE,
-    shards: Union[int, str, None] = None,
-    runner=None,
-    registry: Optional[MetricsRegistry] = None,
-) -> ColumnarReplayResult:
-    """Fan a columnar trace's shards across the runner pool and merge.
-
-    Each pool worker maps the ``.ltrace`` file itself (the OS page
-    cache shares the backing pages between them) and ships back only
-    the run-compressed :class:`ShardPartial`.  ``runner`` is a
-    :class:`repro.runner.Runner` (a default fault-tolerant one is built
-    when omitted); a single-shard plan skips the pool entirely.  The
-    merged result is bit-identical to the in-process
-    :func:`replay_columnar` — the scheduler's retry/rebuild machinery
-    cannot change counters, only wall-clock.
-    """
-    path = Path(path)
-    with ColumnarAccessTrace(path) as trace:
-        n = len(trace)
-        name = trace.name
-        nbytes = trace.nbytes
-        plan = plan_shards(n, resolve_shard_count(shards), trace.epoch_starts)
-        layout = trace.layout
-    if len(plan) <= 1:
-        return replay_columnar(
-            path, latch_config, tcache_config, baseline_config,
-            plan=plan, registry=registry,
-        )
-
-    from repro.runner.scheduler import Runner
-
-    if runner is None:
-        runner = Runner()
-    specs = shard_job_specs(
-        path, name, plan, latch_config, tcache_config, baseline_config
-    )
-    results = runner.run(specs)
-    partials: List[ShardPartial] = []
-    for spec in specs:
-        result = results[spec.job_id]
-        if not result.ok:
-            raise RuntimeError(
-                f"trace shard {spec.job_id} failed after "
-                f"{result.attempts} attempts: {result.error}"
-            )
-        partials.append(
-            ShardPartial.from_wire(result.snapshot.meta["trace_shard"])
-        )
-
-    record_dispatch("vector")
-    system = _loaded_system(layout, latch_config, tcache_config)
-    merge_started = time.perf_counter()
-    merge_partials(partials, system)
-    baseline_report: Optional[BaselineReport] = None
-    if baseline_config is not None:
-        cache = PreciseTaintCache(baseline_config)
-        merge_baseline_partials(partials, cache)
-        baseline_report = BaselineReport(
-            name=name, accesses=cache.stats.accesses,
-            misses=cache.stats.misses,
-        )
-    result = ColumnarReplayResult(
-        hlatch=system.report(name),
-        baseline=baseline_report,
-        access_count=n,
-        shard_count=len(plan),
-        mmap_bytes=nbytes,
-        merge_seconds=time.perf_counter() - merge_started,
-        system=system,
-    )
-    if registry is not None:
-        publish_trace_metrics(registry, result)
-    return result
 
 
 # ----------------------------------------------------------------- metrics

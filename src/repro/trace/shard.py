@@ -1,4 +1,4 @@
-"""Shard planning for multicore columnar replay.
+"""Shard planning for columnar replay.
 
 A *shard plan* is a list of half-open ``(start, stop)`` access ranges
 covering a trace window.  Because the merge algebra in
@@ -6,48 +6,15 @@ covering a trace window.  Because the merge algebra in
 :class:`~repro.kernels.lru.LruState`), correctness never depends on
 where the cuts land; the planner still snaps cuts to epoch starts when
 the trace carries an epoch index, so each shard keeps whole locality
-phases and the run compression inside it stays as effective as in the
-single-core replay.
+phases and the run compression inside it stays as effective as in an
+unsplit replay.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-#: Environment knob for the default shard count: a positive integer, or
-#: ``"auto"`` to use every available core.  Unset/empty means 1 (serial).
-SHARDS_ENV_VAR = "REPRO_TRACE_SHARDS"
-
-ShardSpec = Union[int, str, None]
-
-
-def resolve_shard_count(shards: ShardSpec = None) -> int:
-    """Resolve a shard-count request to a positive integer.
-
-    Precedence: explicit argument > :data:`SHARDS_ENV_VAR` > 1.  Both
-    the argument and the variable accept ``"auto"`` (one shard per
-    available core) or a positive integer.
-    """
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        shards = raw
-    if isinstance(shards, str):
-        if shards.strip().lower() == "auto":
-            return max(1, os.cpu_count() or 1)
-        try:
-            shards = int(shards)
-        except ValueError:
-            raise ValueError(
-                f"{SHARDS_ENV_VAR}={shards!r} is neither 'auto' nor an integer"
-            ) from None
-    if shards < 1:
-        raise ValueError(f"shard count must be positive, got {shards}")
-    return int(shards)
 
 
 def plan_shards(

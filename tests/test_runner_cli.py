@@ -63,36 +63,6 @@ class TestRuns:
             "taint_fraction:gcc", "page_taint:gcc", "hlatch:gcc",
         }
 
-    def test_columnar_flag_is_bit_identical_to_object_path(self, tmp_path):
-        code, object_report = _json_report(
-            tmp_path, "object.json", ["--serial", "--benchmarks", "gcc"]
-        )
-        assert code == 0
-        code, columnar = _json_report(
-            tmp_path, "columnar.json",
-            ["--serial", "--benchmarks", "gcc", "--columnar", "--shards", "2"],
-        )
-        assert code == 0
-        # hlatch jobs are rewritten onto the trace_replay kind; the
-        # published hlatch.*/baseline.* metrics must not move at all.
-        assert "trace_replay:gcc" in columnar["jobs"]
-        assert "hlatch:gcc" not in columnar["jobs"]
-        replayed = columnar["jobs"]["trace_replay:gcc"]["snapshot"]
-        original = object_report["jobs"]["hlatch:gcc"]["snapshot"]
-
-        def rows(snapshot, prefix):
-            return {
-                row["name"]: row["data"]
-                for row in snapshot["metrics"]
-                if row["name"].startswith(prefix)
-            }
-
-        for prefix in ("hlatch.", "baseline."):
-            assert rows(replayed, prefix) == rows(original, prefix)
-        assert rows(replayed, "trace.")["trace.replays"] == {"value": 1}
-        # Non-cache-sim kinds pass through the rewrite untouched.
-        assert "taint_fraction:gcc" in columnar["jobs"]
-
     def test_progress_lines_on_stderr(self, tmp_path, capsys):
         code = main(
             ["smoke", "--cache-dir", str(tmp_path / "cache"),

@@ -394,14 +394,13 @@ class TestStats:
         source = load_access_trace(golden)
         save_columnar_trace(source, trace_path)
         assert stats_main(
-            ["--ltrace", str(trace_path), "--shards", "3",
-             "--format", "json"]
+            ["--ltrace", str(trace_path), "--format", "json"]
         ) == 0
         snapshot = StatsSnapshot.from_json(capsys.readouterr().out)
         assert snapshot.meta["mode"] == "ltrace"
         assert snapshot.meta["workload"] == "gcc"
         assert snapshot.meta["accesses"] == source.access_count
-        assert 1 <= snapshot.meta["shards"] <= 3
+        assert snapshot.meta["shards"] == 1
         for name in ("latch.memory_checks", "trace.replays", "trace.shards",
                      "trace.mmap.bytes", "trace.merge.seconds",
                      "baseline.miss_percent"):

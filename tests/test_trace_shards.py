@@ -16,10 +16,8 @@ Coverage:
   the columnar result must match both;
 * the 32-bit wrap-around reproducers from ``tests/corpus/`` (address
   masking straddles shard boundaries there);
-* the planner's partition/snapping invariants and the
-  ``REPRO_TRACE_SHARDS`` environment knob;
-* the pool fan-out (``replay_columnar_pooled``), which must agree with
-  the in-process merge.
+* the planner's partition/snapping invariants, and the rejection of
+  explicit plans that do not partition the window.
 """
 
 from __future__ import annotations
@@ -34,26 +32,11 @@ from repro.check.corpus import load_corpus
 from repro.check.oracle import run_reference
 from repro.hlatch.system import HLATCH_LATCH_CONFIG, HLatchSystem, run_hlatch
 from repro.hlatch.baseline import run_baseline
-from repro.hlatch.taint_cache import (
-    CONVENTIONAL_TAINT_CACHE,
-    HLATCH_TAINT_CACHE,
-)
+from repro.hlatch.taint_cache import HLATCH_TAINT_CACHE
 from repro.kernels.replay import replay_check_memory
-from repro.trace.convert import columnar_trace_bytes, save_columnar_trace
-from repro.trace.replay import (
-    ShardPartial,
-    merge_partials,
-    replay_baseline_columnar,
-    replay_columnar,
-    replay_columnar_pooled,
-    shard_partial,
-)
-from repro.trace.shard import (
-    SHARDS_ENV_VAR,
-    explicit_plan,
-    plan_shards,
-    resolve_shard_count,
-)
+from repro.trace.convert import columnar_trace_bytes
+from repro.trace.replay import merge_partials, replay_columnar, shard_partial
+from repro.trace.shard import explicit_plan, plan_shards
 from repro.workloads.storage import load_access_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -101,26 +84,12 @@ class TestPlanner:
         assert plan_shards(0, 4) == []
         assert plan_shards(5, 1) == [(0, 5)]
         assert plan_shards(3, 10) == [(0, 1), (1, 2), (2, 3)]
+        with pytest.raises(ValueError, match="positive"):
+            plan_shards(5, 0)
 
     def test_explicit_plan_dedupes_and_clamps(self):
         assert explicit_plan(10, [3, 3, 0, 10, 7]) == [(0, 3), (3, 7), (7, 10)]
         assert explicit_plan(0, [1, 2]) == []
-
-    def test_resolve_shard_count(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-        assert resolve_shard_count() == 1
-        assert resolve_shard_count(6) == 6
-        assert resolve_shard_count("auto") >= 1
-        monkeypatch.setenv(SHARDS_ENV_VAR, "3")
-        assert resolve_shard_count() == 3
-        assert resolve_shard_count(2) == 2  # argument wins
-        monkeypatch.setenv(SHARDS_ENV_VAR, "auto")
-        assert resolve_shard_count() >= 1
-        monkeypatch.setenv(SHARDS_ENV_VAR, "zero")
-        with pytest.raises(ValueError, match=SHARDS_ENV_VAR):
-            resolve_shard_count()
-        with pytest.raises(ValueError, match="positive"):
-            resolve_shard_count(0)
 
 
 class TestShardedEqualsScalar:
@@ -170,10 +139,8 @@ class TestShardedEqualsScalar:
     def test_baseline_matches_both_object_backends(self, name, backend):
         trace = _golden(name)
         object_report = run_baseline(trace, backend=backend)
-        columnar = replay_baseline_columnar(
-            columnar_trace_bytes(trace), shards=7
-        )
-        assert columnar == object_report
+        columnar = replay_columnar(columnar_trace_bytes(trace), shards=7)
+        assert columnar.baseline == object_report
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_single_epoch_trace_collapses_to_one_shard(self, name):
@@ -190,41 +157,38 @@ class TestShardedEqualsScalar:
         assert serial.shard_count == 1
         assert with_epochs.hlatch == serial.hlatch
 
-    def test_shard_env_var_drives_default(self, monkeypatch):
-        trace = _golden("gcc")
-        blob = columnar_trace_bytes(trace)
-        monkeypatch.setenv(SHARDS_ENV_VAR, "3")
-        sharded = replay_columnar(blob, baseline_config=None)
-        monkeypatch.setenv(SHARDS_ENV_VAR, "1")
-        serial = replay_columnar(blob, baseline_config=None)
-        assert serial.shard_count == 1
-        assert sharded.hlatch == serial.hlatch
 
-    def test_wire_partials_survive_serialisation(self):
-        trace = _golden("gcc")
-        blob = columnar_trace_bytes(trace)
-        n = trace.access_count
-        plan = explicit_plan(n, [n // 2])
-        system = HLatchSystem()
-        system.load_taint(trace.layout)
-        partials = [
-            shard_partial(
-                trace.addresses[start:stop],
-                trace.sizes[start:stop],
-                trace.is_write[start:stop],
-                system.latch,
-                HLATCH_TAINT_CACHE,
-                CONVENTIONAL_TAINT_CACHE,
-            )
-            for start, stop in plan
-        ]
-        rebuilt = [ShardPartial.from_wire(p.to_wire()) for p in partials]
-        merge_partials(rebuilt, system)
-        direct = replay_columnar(blob, plan=plan)
-        assert (
-            system.snapshot().to_dict()["metrics"]
-            == direct.system.snapshot().to_dict()["metrics"]
-        )
+class TestPlanValidation:
+    """An explicit plan must partition ``[0, n)``: ordered, contiguous,
+    inside the window and covering it; empty ranges are allowed."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return columnar_trace_bytes(_golden("gcc"))
+
+    @pytest.mark.parametrize("plan", [
+        pytest.param([(0, 10)], id="drops-tail"),
+        pytest.param([(0, 10), (5, 2000)], id="overlap-past-end"),
+        pytest.param([(0, 10), (20, 699)], id="gap"),
+        pytest.param([(10, 699)], id="late-start"),
+        pytest.param([(0, 699), (699, 700)], id="past-end"),
+        pytest.param([(300, 699), (0, 300)], id="out-of-order"),
+        pytest.param([(0, 400), (400, 300), (300, 699)], id="reversed"),
+        pytest.param([], id="covers-nothing"),
+    ])
+    def test_rejects_non_partitions(self, blob, plan):
+        with pytest.raises(ValueError, match="does not partition"):
+            replay_columnar(blob, plan=plan, baseline_config=None)
+
+    def test_accepts_empty_ranges(self, blob):
+        n = len(_golden("gcc").addresses)
+        plan = [(0, 0), (0, 100), (100, 100), (100, n), (n, n)]
+        result = replay_columnar(blob, plan=plan, baseline_config=None)
+        assert result.access_count == n
+        assert result.hlatch.accesses == n
+        assert result.hlatch == replay_columnar(
+            blob, baseline_config=None
+        ).hlatch
 
 
 class TestCorpusWrapStraddles:
@@ -334,37 +298,6 @@ class TestCorpusWrapStraddles:
                 assert latch_counters(system.latch) == want, (
                     f"{cp.name} cut={cut}"
                 )
-
-
-class TestPooledReplay:
-    def test_pool_matches_in_process(self, tmp_path):
-        from repro.runner import Runner, RunnerConfig
-
-        trace = _golden("gcc")
-        path = tmp_path / "gcc.ltrace"
-        save_columnar_trace(trace, path)
-        local = replay_columnar(path, shards=3)
-        runner = Runner(
-            config=RunnerConfig(
-                max_workers=2, backoff_base=0.0, backoff_max=0.0
-            )
-        )
-        pooled = replay_columnar_pooled(path, shards=3, runner=runner)
-        assert pooled.shard_count == local.shard_count
-        assert pooled.hlatch == local.hlatch
-        assert pooled.baseline == local.baseline
-        assert (
-            pooled.system.snapshot().to_dict()["metrics"]
-            == local.system.snapshot().to_dict()["metrics"]
-        )
-
-    def test_single_shard_plan_skips_pool(self, tmp_path):
-        trace = _golden("curl")
-        path = tmp_path / "curl.ltrace"
-        save_columnar_trace(trace, path)
-        result = replay_columnar_pooled(path, shards=1, runner=None)
-        assert result.shard_count == 1
-        assert result.hlatch == replay_columnar(path, shards=1).hlatch
 
 
 class TestHLatchConfigCoverage:
