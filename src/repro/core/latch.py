@@ -65,17 +65,24 @@ class LatchCheckResult:
 
 @dataclass(frozen=True)
 class StepCheck:
-    """Outcome of checking one committed instruction."""
+    """Outcome of checking one committed instruction.
+
+    ``coarse_tainted`` is true if the instruction must trap to the
+    precise layer: a source register is tainted or some memory result
+    is a coarse positive.
+    """
 
     register_tainted: bool
     memory_results: Tuple[LatchCheckResult, ...]
+    coarse_tainted: bool
 
-    @property
-    def coarse_tainted(self) -> bool:
-        """True if the instruction must trap to the precise layer."""
-        return self.register_tainted or any(
-            result.coarse_tainted for result in self.memory_results
-        )
+
+#: The one outcome of every clean register-only step.  Immutable, so
+#: :meth:`LatchModule.check_step` hands out this instance instead of
+#: allocating a result per instruction.
+CLEAN_STEP = StepCheck(
+    register_tainted=False, memory_results=(), coarse_tainted=False
+)
 
 
 @dataclass
@@ -201,23 +208,33 @@ class LatchModule:
         )
 
     def check_step(self, event: StepEvent) -> StepCheck:
-        """Check one committed instruction (registers + memory operands)."""
-        self.stats.steps_checked += 1
-        register_tainted = bool(event.regs_read) and self.trf.any_tainted(
-            event.regs_read
-        )
+        """Check one committed instruction (registers + memory operands).
+
+        A register-only step whose sources are clean in the TRF's dirty
+        mask returns the shared :data:`CLEAN_STEP`: no allocation and no
+        CTC or TLB traffic.
+        """
+        stats = self.stats
+        stats.steps_checked += 1
+        register_tainted = self.trf.any_tainted(event.regs_read)
+        if event.reads or event.writes:
+            memory_results = tuple(
+                self.check_memory(access.address, access.size)
+                for access in event.memory_accesses
+            )
+            coarse_tainted = register_tainted or any(
+                result.coarse_tainted for result in memory_results
+            )
+        elif register_tainted:
+            memory_results = ()
+            coarse_tainted = True
+        else:
+            return CLEAN_STEP
         if register_tainted:
-            self.stats.register_positives += 1
-        memory_results = tuple(
-            self.check_memory(access.address, access.size)
-            for access in event.memory_accesses
-        )
-        check = StepCheck(
-            register_tainted=register_tainted, memory_results=memory_results
-        )
-        if check.coarse_tainted:
-            self.stats.coarse_positives += 1
-        return check
+            stats.register_positives += 1
+        if coarse_tainted:
+            stats.coarse_positives += 1
+        return StepCheck(register_tainted, memory_results, coarse_tainted)
 
     # ------------------------------------------------------------- updates
 

@@ -8,7 +8,10 @@ tagmap behaves in practice.
 
 The taint register file (TRF) holds one tag per register byte (4 tags per
 32-bit register), matching the byte-level register taint the paper's TRF
-stores (Figure 7, component B).
+stores (Figure 7, component B).  It also keeps a 16-bit per-register dirty
+mask: this is the hardware TRF's "any taint" wire, the OR of each
+register's tag bits that the coarse check tests in one step, so a clean
+register file costs the check nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 _PAGE_SIZE = 4096
 _PAGE_SHIFT = 12
 _MASK32 = 0xFFFFFFFF
+_CLEAN_REGISTER = bytes(4)
 
 
 class ShadowMemory:
@@ -191,6 +195,12 @@ class TaintRegisterFile:
     bitmask view (:meth:`mask`, :meth:`load_mask`) supports the ``strf``
     instruction, which reloads the hardware TRF from a register bitmask
     after a software-DIFT epoch (Table 5 of the paper).
+
+    Alongside the tag bytes the TRF keeps an integer dirty mask, bit *r*
+    set iff some tag byte of register *r* is non-zero.  Every mutator
+    keeps it exact, so the register queries are single mask tests and a
+    fully clean TRF answers :meth:`any_tainted` without looking at any
+    register.
     """
 
     REGISTER_COUNT = 16
@@ -200,6 +210,7 @@ class TaintRegisterFile:
         self._tags: List[bytearray] = [
             bytearray(self.BYTES_PER_REGISTER) for _ in range(self.REGISTER_COUNT)
         ]
+        self._dirty = 0
 
     def get(self, register: int) -> bytes:
         """The four tag bytes of ``register``."""
@@ -213,6 +224,10 @@ class TaintRegisterFile:
             self.BYTES_PER_REGISTER, b"\x00"
         )
         self._tags[register][:] = padded
+        if padded == _CLEAN_REGISTER:
+            self._dirty &= ~(1 << register)
+        else:
+            self._dirty |= 1 << register
 
     def taint(self, register: int, tag: int = 1) -> None:
         """Taint every byte of ``register`` with ``tag``."""
@@ -220,15 +235,36 @@ class TaintRegisterFile:
 
     def clear(self, register: int) -> None:
         """Remove taint from ``register``."""
-        self._tags[register][:] = bytes(self.BYTES_PER_REGISTER)
+        self.clear_registers((register,))
+
+    def clear_registers(self, registers) -> None:
+        """Remove taint from each of ``registers``.
+
+        Only registers whose dirty bit is set are touched, so on a clean
+        TRF this is one test and no work.
+        """
+        dirty = self._dirty
+        if not dirty:
+            return
+        for register in registers:
+            if dirty >> register & 1:
+                self._tags[register][:] = _CLEAN_REGISTER
+                dirty &= ~(1 << register)
+        self._dirty = dirty
 
     def is_tainted(self, register: int) -> bool:
         """True if any byte of ``register`` is tainted."""
-        return any(self._tags[register])
+        return bool(self._dirty >> register & 1)
 
     def any_tainted(self, registers) -> bool:
         """True if any of ``registers`` carries taint."""
-        return any(self.is_tainted(register) for register in registers)
+        dirty = self._dirty
+        if not dirty:
+            return False
+        for register in registers:
+            if dirty >> register & 1:
+                return True
+        return False
 
     def union(self, *registers: int) -> bytes:
         """Byte-wise union (max) of the tags of several registers."""
@@ -241,7 +277,7 @@ class TaintRegisterFile:
     def mask(self) -> int:
         """Pack the TRF into a bitmask: bit (4*reg + byte) = tainted."""
         value = 0
-        for register in range(self.REGISTER_COUNT):
+        for register in self.tainted_registers():
             for byte_index in range(self.BYTES_PER_REGISTER):
                 if self._tags[register][byte_index]:
                     value |= 1 << (register * self.BYTES_PER_REGISTER + byte_index)
@@ -249,11 +285,16 @@ class TaintRegisterFile:
 
     def load_mask(self, mask: int, tag: int = 1) -> None:
         """Reload the TRF from a bitmask (the ``strf`` semantics)."""
-        for register in range(self.REGISTER_COUNT):
+        dirty = 0
+        for register in range(1, self.REGISTER_COUNT):
+            tags = self._tags[register]
             for byte_index in range(self.BYTES_PER_REGISTER):
                 bit = 1 << (register * self.BYTES_PER_REGISTER + byte_index)
-                self._tags[register][byte_index] = tag if (mask & bit) else 0
-        self._tags[0][:] = bytes(self.BYTES_PER_REGISTER)
+                tags[byte_index] = tag if (mask & bit) else 0
+            if tags != _CLEAN_REGISTER:
+                dirty |= 1 << register
+        self._tags[0][:] = _CLEAN_REGISTER
+        self._dirty = dirty
 
     def register_mask(self) -> int:
         """Pack the TRF into a 16-bit mask: bit r = register r tainted.
@@ -261,29 +302,30 @@ class TaintRegisterFile:
         This is the coarse view a 32-bit ``strf`` operand can carry; the
         byte-precise :meth:`mask` needs 64 bits and is used internally.
         """
-        value = 0
-        for register in range(self.REGISTER_COUNT):
-            if any(self._tags[register]):
-                value |= 1 << register
-        return value
+        return self._dirty
 
     def load_register_mask(self, mask: int, tag: int = 1) -> None:
         """Reload the TRF from a per-register bitmask (``strf`` semantics)."""
-        for register in range(self.REGISTER_COUNT):
-            if mask & (1 << register):
-                self.set(register, bytes([tag]) * self.BYTES_PER_REGISTER)
-            else:
-                self.clear(register)
+        filled = bytes([tag]) * self.BYTES_PER_REGISTER
+        dirty = 0
+        for register in range(1, self.REGISTER_COUNT):
+            if mask >> register & 1:
+                self._tags[register][:] = filled
+                if tag:
+                    dirty |= 1 << register
+            elif self._dirty >> register & 1:
+                self._tags[register][:] = _CLEAN_REGISTER
+        self._dirty = dirty
 
     def clear_all(self) -> None:
         """Remove taint from every register."""
-        for tags in self._tags:
-            tags[:] = bytes(self.BYTES_PER_REGISTER)
+        self.clear_registers(range(self.REGISTER_COUNT))
 
     def tainted_registers(self) -> Tuple[int, ...]:
         """Registers carrying any taint."""
+        dirty = self._dirty
         return tuple(
             register
             for register in range(self.REGISTER_COUNT)
-            if any(self._tags[register])
+            if dirty >> register & 1
         )

@@ -83,7 +83,8 @@ class PipelineConfig:
             (windowed classification through ``repro.kernels``).
         backend: gating backend — ``"scalar"``, ``"vector"``, or
             ``None`` to follow ``repro.kernels.resolve_backend`` (the
-            ``REPRO_KERNEL_BACKEND`` switch).
+            ``REPRO_KERNEL_BACKEND`` switch).  A pipeline resolves the
+            backend and gate batch once, when it is built.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).

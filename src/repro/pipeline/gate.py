@@ -137,16 +137,15 @@ class LatchGate:
     ) -> bool:
         """Decide one step event; updates the per-reason accounting."""
         self.stats.steps += 1
+        trf = self.latch.trf
         if memory_flag is None:
             check = self.latch.check_step(event)
             register_hit = check.register_tainted
-            memory_hit = any(
-                result.coarse_tainted for result in check.memory_results
-            )
+            # Without a register hit the step's coarse verdict is its
+            # memory verdict.
+            memory_hit = check.coarse_tainted
         else:
-            register_hit = bool(event.regs_read) and self.latch.trf.any_tainted(
-                event.regs_read
-            )
+            register_hit = trf.any_tainted(event.regs_read)
             memory_hit = memory_flag
         if register_hit:
             self.stats.register_hits += 1
@@ -158,9 +157,8 @@ class LatchGate:
             if self.pending.covers(access.address, access.size):
                 self.stats.pending_hits += 1
                 return True
-        for register in event.regs_written:
-            if self.latch.trf.is_tainted(register):
-                self.stats.writeback_hits += 1
-                return True
+        if trf.any_tainted(event.regs_written):
+            self.stats.writeback_hits += 1
+            return True
         self.stats.suppressed += 1
         return False

@@ -110,7 +110,14 @@ class StreamingPipeline(Observer):
     ) -> None:
         from repro.platch.pending import PendingUpdateTracker
 
-        self.config = config if config is not None else PipelineConfig()
+        config = config if config is not None else PipelineConfig()
+        # Resolve the backend (which may consult the environment) and the
+        # gate batch once: the per-step path reads plain attributes, and
+        # a live pipeline keeps its shape whatever the environment does.
+        config = config.replace(backend=config.resolved_backend)
+        self.config = config.replace(gate_batch=config.resolved_gate_batch)
+        self.backend: str = self.config.backend
+        self.gate_batch: int = self.config.gate_batch
         self.cpu = cpu
         self.engine = DIFTEngine(policy)
         self.latch = LatchModule(latch_config)
@@ -120,7 +127,7 @@ class StreamingPipeline(Observer):
         )
         self.sampler = WindowSampler(self.config.sampling)
         self.gate = LatchGate(
-            self.latch, self.pending, backend=self.config.resolved_backend
+            self.latch, self.pending, backend=self.backend
         )
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
@@ -164,7 +171,7 @@ class StreamingPipeline(Observer):
     def on_step(self, event: StepEvent) -> None:
         self.stats.instructions += 1
         self._batch.append(event)
-        if len(self._batch) >= self.config.resolved_gate_batch:
+        if len(self._batch) >= self.gate_batch:
             self.flush()
 
     def on_input(self, event: InputEvent) -> None:
@@ -333,7 +340,7 @@ class StreamingPipeline(Observer):
             )
         with maybe_span(
             "pipeline.run",
-            backend=self.config.resolved_backend,
+            backend=self.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             executed = self.cpu.run(max_steps)
@@ -360,7 +367,7 @@ class StreamingPipeline(Observer):
 
         with maybe_span(
             "pipeline.replay_trace",
-            backend=self.config.resolved_backend,
+            backend=self.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             return replay_events(source, self)

@@ -173,19 +173,17 @@ class SLatchSystem(Observer, LatchPort):
             self.counters.hw_instructions += 1
             # Clean instruction: its destinations are clean by
             # construction; keep both TRFs coherent so stale register
-            # taint cannot linger.
-            for register in event.regs_written:
-                self.latch.trf.clear(register)
-                self.engine.trf.clear(register)
+            # taint cannot linger (a no-op while both TRFs are clean).
+            self.latch.trf.clear_registers(event.regs_written)
+            self.engine.trf.clear_registers(event.regs_written)
             return
         # Coarse exception: screen against the precise state.
         if self._is_false_positive(event):
             self.counters.false_positives += 1
             self.counters.hw_instructions += 1
             self.extra_cycles += self.costs.fp_check_cycles
-            for register in event.regs_written:
-                self.latch.trf.clear(register)
-                self.engine.trf.clear(register)
+            self.latch.trf.clear_registers(event.regs_written)
+            self.engine.trf.clear_registers(event.regs_written)
             return
         # True positive: transfer control to the instrumented image and
         # replay this instruction under software monitoring.

@@ -103,6 +103,34 @@ class TestStepChecks:
         assert check.coarse_tainted
         assert latch.stats.coarse_positives == 1
 
+    def test_clean_register_only_steps_share_one_check(self):
+        latch = LatchModule()
+        latch.trf.taint(9)  # a tainted register the steps do not read
+        first = latch.check_step(self._event(regs_read=(1, 2)))
+        second = latch.check_step(self._event(regs_read=(3,)))
+        assert first is second
+        assert not first.coarse_tainted and not first.register_tainted
+        assert first.memory_results == ()
+        stats = latch.stats
+        assert stats.steps_checked == 2
+        assert stats.register_positives == stats.coarse_positives == 0
+        assert stats.memory_checks == 0
+        assert latch.ctc.stats.accesses == 0
+        assert latch.tlb_bits.checks == 0
+
+    def test_tainted_register_only_step_is_a_fresh_positive(self):
+        latch = LatchModule()
+        clean = latch.check_step(self._event(regs_read=(5,)))
+        latch.trf.taint(5)
+        first = latch.check_step(self._event(regs_read=(5,)))
+        second = latch.check_step(self._event(regs_read=(1, 5)))
+        assert first is not clean and first is not second
+        assert first.register_tainted and first.coarse_tainted
+        assert first.memory_results == ()
+        assert latch.stats.register_positives == 2
+        assert latch.stats.coarse_positives == 2
+        assert latch.stats.memory_checks == 0
+
 
 class TestUpdatePath:
     def test_strf_loads_register_mask(self):

@@ -220,3 +220,70 @@ class TestTaintRegisterFile:
             trf.taint(register)
         trf.clear_all()
         assert trf.tainted_registers() == ()
+
+
+def _trf_operations():
+    registers = st.integers(min_value=0, max_value=15)
+    tags = st.binary(min_size=0, max_size=6)
+    tag_value = st.integers(min_value=0, max_value=3)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), registers, tags),
+            st.tuples(st.just("taint"), registers, tag_value),
+            st.tuples(st.just("clear"), registers),
+            st.tuples(
+                st.just("clear_registers"),
+                st.lists(registers, max_size=5),
+            ),
+            st.tuples(
+                st.just("load_mask"),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+                tag_value,
+            ),
+            st.tuples(
+                st.just("load_register_mask"),
+                st.integers(min_value=0, max_value=(1 << 16) - 1),
+                tag_value,
+            ),
+            st.tuples(st.just("clear_all")),
+        ),
+        max_size=40,
+    )
+
+
+class TestDirtyMask:
+    """The per-register dirty mask always equals a scan of the tag bytes."""
+
+    @staticmethod
+    def _assert_matches_byte_scan(trf):
+        scanned = [
+            register
+            for register in range(TaintRegisterFile.REGISTER_COUNT)
+            if any(trf.get(register))
+        ]
+        assert 0 not in scanned
+        assert trf.tainted_registers() == tuple(scanned)
+        assert trf.register_mask() == sum(1 << r for r in scanned)
+        for register in range(TaintRegisterFile.REGISTER_COUNT):
+            assert trf.is_tainted(register) == (register in scanned)
+        assert trf.any_tainted(range(16)) == bool(scanned)
+        for low in range(0, 16, 4):
+            window = range(low, low + 4)
+            assert trf.any_tainted(window) == any(r in scanned for r in window)
+        assert not trf.any_tainted(())
+
+    @given(_trf_operations())
+    def test_mask_matches_byte_scan_after_every_operation(self, operations):
+        trf = TaintRegisterFile()
+        self._assert_matches_byte_scan(trf)
+        for name, *arguments in operations:
+            getattr(trf, name)(*arguments)
+            self._assert_matches_byte_scan(trf)
+
+    def test_clear_registers_clears_only_listed(self):
+        trf = TaintRegisterFile()
+        trf.taint(2)
+        trf.set(5, b"\x00\x00\x03")
+        trf.clear_registers((5, 7))
+        assert trf.tainted_registers() == (2,)
+        assert trf.get(5) == bytes(4)

@@ -5,6 +5,8 @@ with a final taint state *byte-identical* to an always-on DIFT tracker,
 for every scenario, both gating backends, and adversarial queue shapes.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.dift.engine import DIFTEngine
@@ -168,3 +170,35 @@ def test_publish_metrics_exposes_pipeline_series():
     # The downstream stages publish into the same registry.
     assert snapshot.get("dift.instructions") == pipeline.stats.drained
     assert "ctc.hit_rate" in snapshot
+
+
+def test_backend_and_gate_batch_resolve_once_at_construction(monkeypatch):
+    """Flipping REPRO_KERNEL_BACKEND mid-run leaves a live pipeline alone."""
+    from repro.kernels.backend import BACKEND_ENV_VAR
+
+    def counters(pipeline):
+        return (
+            dataclasses.asdict(pipeline.stats),
+            dataclasses.asdict(pipeline.gate.stats),
+            dataclasses.asdict(pipeline.latch.stats),
+            signature(pipeline.engine),
+        )
+
+    monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
+    steady = run_pipeline(programs.phased_compute, backend=None)
+
+    cpu = programs.phased_compute().make_cpu()
+    pipeline = StreamingPipeline(cpu, config=PipelineConfig(backend=None))
+    assert (pipeline.backend, pipeline.gate_batch) == ("vector", 16)
+    flips = 0
+    while not cpu.halted:
+        cpu.run(500)
+        flips += 1
+        monkeypatch.setenv(
+            BACKEND_ENV_VAR, "scalar" if flips % 2 else "vector"
+        )
+        assert (pipeline.backend, pipeline.gate_batch) == ("vector", 16)
+        assert pipeline.gate.backend == "vector"
+    pipeline.finish()
+    assert flips > 2
+    assert counters(pipeline) == counters(steady)

@@ -2,8 +2,11 @@
 
 import dataclasses
 
+import pytest
+
 from repro.isa.assembler import assemble
 from repro.machine.cpu import CPU
+from repro.pipeline import PipelineConfig, StreamingPipeline
 from repro.slatch.controller import Mode, SLatchSystem
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.programs import file_filter, phased_compute
@@ -159,3 +162,82 @@ class TestIsaHooks:
         cpu, system = make_system(phased_compute(), timeout=300)
         cpu.run()
         assert system.estimated_overhead(libdft_slowdown=5.0) > 0
+
+
+class TestPinnedCounters:
+    """Every simulated count on two reference workloads, pinned exactly.
+
+    The clean-path check is a pure speed optimisation: any change to a
+    count here means the check's behaviour changed, not just its cost.
+    """
+
+    SLATCH = {
+        "phased_compute": dict(
+            hw_instructions=3839, sw_instructions=1253, traps=1, returns=1,
+            false_positives=0, reconciled_domains=1,
+        ),
+        "file_filter": dict(
+            hw_instructions=28, sw_instructions=419, traps=1, returns=0,
+            false_positives=0, reconciled_domains=0,
+        ),
+    }
+    LATCH = {
+        "phased_compute": dict(
+            steps_checked=3840, memory_checks=1, register_positives=0,
+            coarse_positives=1, resolved_by_tlb=0, resolved_by_ctc=0,
+            sent_to_precise=1,
+        ),
+        "file_filter": dict(
+            steps_checked=29, memory_checks=1, register_positives=0,
+            coarse_positives=1, resolved_by_tlb=0, resolved_by_ctc=0,
+            sent_to_precise=1,
+        ),
+    }
+    GATE = {
+        "phased_compute": dict(
+            steps=5092, register_hits=32, memory_hits=32, pending_hits=0,
+            writeback_hits=0, suppressed=5028,
+        ),
+        "file_filter": dict(
+            steps=447, register_hits=80, memory_hits=32, pending_hits=0,
+            writeback_hits=0, suppressed=335,
+        ),
+    }
+    #: LatchStats of the pipeline's own LATCH under the scalar gate (the
+    #: vector gate classifies against the CTT and leaves them at zero).
+    GATE_LATCH = {
+        "phased_compute": dict(
+            steps_checked=5092, memory_checks=48, register_positives=32,
+            coarse_positives=64, resolved_by_tlb=0, resolved_by_ctc=0,
+            sent_to_precise=48,
+        ),
+        "file_filter": dict(
+            steps_checked=447, memory_checks=48, register_positives=80,
+            coarse_positives=112, resolved_by_tlb=0, resolved_by_ctc=0,
+            sent_to_precise=48,
+        ),
+    }
+    SCENARIOS = {"phased_compute": phased_compute, "file_filter": file_filter}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_slatch_counters(self, name):
+        cpu = self.SCENARIOS[name]().make_cpu()
+        system = SLatchSystem(cpu)
+        cpu.run()
+        assert dataclasses.asdict(system.counters) == self.SLATCH[name]
+        assert dataclasses.asdict(system.latch.stats) == self.LATCH[name]
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_gate_counters(self, name, backend):
+        cpu = self.SCENARIOS[name]().make_cpu()
+        pipeline = StreamingPipeline(
+            cpu, config=PipelineConfig(backend=backend)
+        )
+        pipeline.run()
+        assert dataclasses.asdict(pipeline.gate.stats) == self.GATE[name]
+        latch = dataclasses.asdict(pipeline.latch.stats)
+        if backend == "scalar":
+            assert latch == self.GATE_LATCH[name]
+        else:
+            assert set(latch.values()) == {0}
