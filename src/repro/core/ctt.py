@@ -16,6 +16,10 @@ from typing import Dict, Iterator, Set
 
 from repro.core.domains import DOMAINS_PER_WORD, DomainGeometry
 
+_MASK32 = 0xFFFFFFFF
+_WORD_SHIFT = DOMAINS_PER_WORD.bit_length() - 1
+_BIT_MASK = DOMAINS_PER_WORD - 1
+
 
 class CoarseTaintTable:
     """Sparse bitmap of per-domain taint bits."""
@@ -41,10 +45,24 @@ class CoarseTaintTable:
         """True if any domain overlapped by the byte range is tainted.
 
         Wrap-aware: a range crossing the top of the 32-bit space checks
-        the wrapped-around domains too.
+        the wrapped-around domains too.  One word probe per overlapped
+        domain, and an empty table answers at once: the pipeline's vector
+        gate calls this for the memory accesses of every step it gates.
         """
-        for base in self.geometry.domain_bases_in_range(address, max(length, 1)):
-            if self.is_domain_tainted(base):
+        words = self._words
+        if not words:
+            return False
+        domain_size = self.geometry.domain_size
+        address &= _MASK32
+        first = address // domain_size
+        last = (address + max(length, 1) - 1) // domain_size
+        # Total domains is a power of two, so this masks an index that
+        # ran past the last domain back to the bottom of the space.
+        wrap = _MASK32 // domain_size
+        for domain in range(first, last + 1):
+            domain &= wrap
+            word = words.get(domain >> _WORD_SHIFT)
+            if word and word >> (domain & _BIT_MASK) & 1:
                 return True
         return False
 

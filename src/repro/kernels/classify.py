@@ -163,27 +163,6 @@ def any_per_row(
     return result
 
 
-def coarse_flags_window(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    domain_size: int,
-    ctt_index: CttIndex,
-) -> np.ndarray:
-    """Per-access coarse verdicts for one window of memory accesses.
-
-    Composes the primitives above — ragged domain expansion, CTT-word
-    gather, per-row OR — into the pure-CTT classification the streaming
-    pipeline's vector gate runs per micro-batch.  ``sizes`` should have
-    the scalar ``max(size, 1)`` floor already applied (use
-    :func:`effective_sizes`); the result matches the scalar CTC walk of
-    ``check_memory`` verdict-for-verdict whenever the CTT is the ground
-    truth (the immediate-clear discipline).
-    """
-    flat, offsets = expand_domain_ids(addresses, sizes, domain_size)
-    flags = domain_tainted_flags(flat, ctt_index)
-    return any_per_row(flags, offsets)
-
-
 # ---------------------------------------------------- extent classification
 
 

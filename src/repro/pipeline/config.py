@@ -79,8 +79,9 @@ class PipelineConfig:
             drain episode.
         gate_batch: committed instructions gated per flush.  ``None``
             resolves per backend: 1 for ``scalar`` (event-at-a-time,
-            the classic P-LATCH cadence) and 16 for ``vector``
-            (windowed classification through ``repro.kernels``).
+            the classic P-LATCH cadence) and 16 for ``vector``.  Every
+            verdict is live whatever the batch; the batch only sets
+            how often the producer hands events to the gate.
         backend: gating backend — ``"scalar"``, ``"vector"``, or
             ``None`` to follow ``repro.kernels.resolve_backend`` (the
             ``REPRO_KERNEL_BACKEND`` switch).  A pipeline resolves the

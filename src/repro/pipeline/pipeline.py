@@ -9,10 +9,10 @@ into stages that each do one thing:
    the queue as ordered control events, so the asynchronous consumer
    replays sources, sinks, and stores in exact commit order.
 2. **Gate** — :class:`repro.pipeline.gate.LatchGate` runs the coarse
-   LATCH classification (scalar ``check_step`` or windowed
-   ``repro.kernels`` classification) plus the pending-update guard;
-   provably taint-free instructions are suppressed here and never
-   reach the queue.
+   LATCH classification live, against the current TRF and CTT (scalar
+   ``check_step`` or a direct CTT probe), plus the pending-update
+   guard; provably taint-free instructions are suppressed here and
+   never reach the queue.
 3. **Sample** — an optional :class:`WindowSampler` drops whole windows
    of would-be-monitored events (the HardTaint coverage/overhead dial).
 4. **Queue** — a :class:`BoundedEventQueue` with real backpressure: a
@@ -146,7 +146,6 @@ class StreamingPipeline(Observer):
         self._carried_events = 0
         self._deferred_retires: List[int] = []
         self._defer_retires = False
-        self._stale_flags = False
         self.engine.add_tag_listener(self._on_tag_write)
         if cpu is not None:
             cpu.attach(self)
@@ -189,7 +188,6 @@ class StreamingPipeline(Observer):
             self.latch.update_memory_tags(
                 event.address, b"\x01" * len(event.data), defer_clear=True
             )
-            self.gate.invalidate_index()
         self._enqueue_control(EventKind.INPUT, event)
 
     def on_output(self, event: OutputEvent) -> None:
@@ -208,17 +206,15 @@ class StreamingPipeline(Observer):
             return
         events, self._batch = self._batch, []
         self.stats.batches += 1
-        flags = self.gate.memory_flags(events)
-        # Precomputed flags are snapshots of the CTT at batch entry; a
-        # mid-batch drain may mutate the CTT, but deferred retires keep
-        # the pending guard covering every in-flight write, so the
-        # snapshot stays sound for the rest of the batch.
+        # Gate verdicts are live, so soundness does not need this: pending
+        # entries retired by a mid-batch drain wait until the batch ends
+        # (or until a full pending FIFO forces them out).  It fixes *when*
+        # entries retire within a batch, and so the pending-hit
+        # accounting, the same way for both backends.
         self._defer_retires = len(events) > 1
-        self._stale_flags = False
         try:
-            for index, event in enumerate(events):
-                flag = None if self._stale_flags else flags[index]
-                if self.gate.admit(event, flag):
+            for event in events:
+                if self.gate.admit(event):
                     if self.sampler.admit():
                         self._enqueue_step(event)
                         contributed = 1
@@ -246,9 +242,6 @@ class StreamingPipeline(Observer):
                 drained = self.drain(self.config.drain_batch)
                 if self._deferred_retires:
                     self._apply_deferred_retires()
-                    # Precomputed flags no longer guarded by pending
-                    # entries: recompute the rest of the batch live.
-                    self._stale_flags = True
                 elif drained == 0:
                     raise RuntimeError(
                         "pending tracker full with an empty queue"
@@ -387,7 +380,6 @@ class StreamingPipeline(Observer):
             defer_clear=False,
             clean_oracle=self.engine.shadow.region_clean,
         )
-        self.gate.invalidate_index()
 
     # ------------------------------------------------------------- export
 
