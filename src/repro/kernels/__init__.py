@@ -17,24 +17,19 @@ analogue of HardTaint's trace-buffer batching):
 * :mod:`~repro.kernels.replay` — window replay over the real model
   objects (``run_hlatch`` / ``run_baseline`` / ``measure_hw_rates``).
 
-Backend selection (``backend=`` argument > ``REPRO_KERNEL_BACKEND`` >
-``"vector"``) lives in :mod:`~repro.kernels.backend`.  The scalar code
-remains the executable reference; the two backends must produce
-bit-identical :class:`~repro.obs.StatsSnapshot` payloads
+The per-access reference loops these kernels must reproduce — counter
+for counter, in bit-identical :class:`~repro.obs.StatsSnapshot`
+payloads — live in :mod:`~repro.kernels.reference`, a test-only module
 (``tests/test_kernels_equivalence.py`` enforces the contract, and
-``docs/KERNELS.md`` documents the batch model).
+``docs/KERNELS.md`` documents the batch model).  Kernel metrics live in
+:mod:`~repro.kernels.backend`.
 """
 
 from repro.kernels.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    DEFAULT_BACKEND,
     KERNEL_NAMES,
     kernel_registry,
     publish_metrics,
-    record_dispatch,
     reset_kernel_metrics,
-    resolve_backend,
 )
 from repro.kernels.classify import (
     CttIndex,
@@ -59,9 +54,6 @@ from repro.kernels.replay import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "KERNEL_NAMES",
     "CttIndex",
     "LruState",
@@ -72,12 +64,10 @@ __all__ = [
     "epoch_stream_from_trace",
     "kernel_registry",
     "publish_metrics",
-    "record_dispatch",
     "replay_check_memory",
     "replay_hlatch_window",
     "replay_taint_cache",
     "reset_kernel_metrics",
-    "resolve_backend",
     "run_boundaries",
     "segment_epochs",
     "simulate_lru",

@@ -1,28 +1,27 @@
 """Whole-window replay orchestration over the real model objects.
 
-The scalar replay loops (``run_hlatch``, ``run_baseline``,
-``measure_hw_rates``) drive a :class:`~repro.core.latch.LatchModule` /
+The reference loops in :mod:`repro.kernels.reference` drive a
+:class:`~repro.core.latch.LatchModule` /
 :class:`~repro.hlatch.taint_cache.PreciseTaintCache` one access at a
 time.  The functions here compute the *identical* counter outcomes with
 the batch kernels and write them back into the very same stats objects
 (:class:`~repro.core.latch.LatchStats`,
 :class:`~repro.mem.cache.CacheStats`, …), so metric publication — and
 therefore the :class:`~repro.obs.StatsSnapshot` the runner caches — is
-shared verbatim with the scalar path.
+the same whichever of the two ran.  ``run_hlatch``, ``run_baseline``
+and ``measure_hw_rates`` call these kernels.
 
 Precondition shared by every function: the coarse state is *frozen* for
 the duration of the window (no tag writes interleave with checks) and
 the simulated structures start cold — exactly the state
 ``bulk_load_from_shadow`` / a fresh system leaves behind, and exactly
-what the scalar replay loops rely on as well.  The cache *contents* are
+what the reference loops rely on as well.  The cache *contents* are
 not reconstructed, only their statistics; a replayed system is a
 measurement artefact, not a warm simulator to keep driving access by
 access afterwards.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 

@@ -33,6 +33,9 @@ ENV_SAMPLE_SEED = "REPRO_PIPELINE_SAMPLE_SEED"
 ENV_MODEL_EPOCH = "REPRO_PIPELINE_MODEL_EPOCH"
 ENV_HIST_MODE = "REPRO_PIPELINE_HIST_MODE"
 
+#: Gating backends, in documentation order.
+BACKENDS = ("scalar", "vector")
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -82,10 +85,11 @@ class PipelineConfig:
             the classic P-LATCH cadence) and 16 for ``vector``.  Every
             verdict is live whatever the batch; the batch only sets
             how often the producer hands events to the gate.
-        backend: gating backend — ``"scalar"``, ``"vector"``, or
-            ``None`` to follow ``repro.kernels.resolve_backend`` (the
-            ``REPRO_KERNEL_BACKEND`` switch).  A pipeline resolves the
-            backend and gate batch once, when it is built.
+        backend: gating backend — ``"vector"`` (the default: TRF
+            dirty mask plus a live CTT probe per access) or
+            ``"scalar"`` (``check_step`` through the CTC/TLB cost
+            model, as :class:`repro.platch.PLatchSystem` and served
+            sessions use).  Both make identical admission decisions.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).
@@ -103,7 +107,7 @@ class PipelineConfig:
     queue_capacity: int = 256
     drain_batch: int = 64
     gate_batch: Optional[int] = None
-    backend: Optional[str] = None
+    backend: str = "vector"
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     analysis_cycles_per_event: float = DEFAULT_ANALYSIS_CYCLES
     model_epoch: int = 1000
@@ -116,6 +120,10 @@ class PipelineConfig:
             raise ValueError("drain_batch must be >= 1")
         if self.gate_batch is not None and self.gate_batch < 1:
             raise ValueError("gate_batch must be >= 1 (or None)")
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
         if self.analysis_cycles_per_event <= 0:
             raise ValueError("analysis_cycles_per_event must be positive")
         if self.model_epoch < 1:
@@ -131,18 +139,11 @@ class PipelineConfig:
     # ------------------------------------------------------------ resolved
 
     @property
-    def resolved_backend(self) -> str:
-        """The concrete gating backend ("scalar" or "vector")."""
-        from repro.kernels.backend import resolve_backend
-
-        return resolve_backend(self.backend)
-
-    @property
     def resolved_gate_batch(self) -> int:
         """The concrete gate batch (backend-dependent default)."""
         if self.gate_batch is not None:
             return self.gate_batch
-        return 1 if self.resolved_backend == "scalar" else 16
+        return 1 if self.backend == "scalar" else 16
 
     @property
     def pending_capacity(self) -> int:

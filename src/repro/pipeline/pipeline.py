@@ -111,10 +111,8 @@ class StreamingPipeline(Observer):
         from repro.platch.pending import PendingUpdateTracker
 
         config = config if config is not None else PipelineConfig()
-        # Resolve the backend (which may consult the environment) and the
-        # gate batch once: the per-step path reads plain attributes, and
-        # a live pipeline keeps its shape whatever the environment does.
-        config = config.replace(backend=config.resolved_backend)
+        # Resolve the gate batch once: the per-step path reads plain
+        # attributes.
         self.config = config.replace(gate_batch=config.resolved_gate_batch)
         self.backend: str = self.config.backend
         self.gate_batch: int = self.config.gate_batch

@@ -238,7 +238,7 @@ def run_program(args) -> StatsSnapshot:
                 tracer.close()
         snapshot = pipeline.snapshot()
         snapshot.meta.update({
-            "backend": config.resolved_backend,
+            "backend": config.backend,
             "queue_capacity": config.queue_capacity,
             "gate_batch": config.resolved_gate_batch,
             "sample_rate": config.sampling.rate,

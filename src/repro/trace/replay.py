@@ -44,7 +44,7 @@ from repro.hlatch.taint_cache import (
     PreciseTaintCache,
     TaintCacheConfig,
 )
-from repro.kernels import classify, record_dispatch
+from repro.kernels import classify
 from repro.kernels import ctc as ctc_kernel
 from repro.kernels import tcache as tcache_kernel
 from repro.kernels import tlb as tlb_kernel
@@ -351,7 +351,6 @@ def replay_columnar(
     count, mapped bytes) — wall-clock timings stay out of it so the
     result snapshot is machine-independent.
     """
-    record_dispatch("vector")
     opened_here = not isinstance(source, ColumnarAccessTrace)
     trace = source if not opened_here else ColumnarAccessTrace(source)
     try:

@@ -9,8 +9,9 @@ Produces, per pinned workload:
 * ``<name>_w2000_s0.npz``  — a 2 000-access :class:`AccessTrace` window,
 * ``<name>_epochs_s0.npz`` — a 100 k-instruction :class:`EpochStream`,
 
-plus ``expected.json`` (the replay results both kernel backends must
-reproduce exactly) and ``corrupt.npz`` (a deliberately truncated archive
+plus ``expected.json`` (the replay results of the reference loops in
+:mod:`repro.kernels.reference`, which the vector kernels must reproduce
+exactly) and ``corrupt.npz`` (a deliberately truncated archive
 that must raise :class:`StorageFormatError`).
 
 The fixtures are committed; regenerate them only when the workload
@@ -23,9 +24,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.temporal import epoch_duration_profile
-from repro.hlatch.baseline import run_baseline
+from repro.analysis.temporal import FIG5_THRESHOLDS
 from repro.hlatch.system import HLatchSystem
+from repro.hlatch.taint_cache import CONVENTIONAL_TAINT_CACHE, PreciseTaintCache
+from repro.kernels import reference
 from repro.workloads import WorkloadGenerator, get_profile
 from repro.workloads.storage import save_access_trace, save_epoch_stream
 
@@ -39,13 +41,18 @@ SEED = 0
 def _hlatch_snapshot_dict(trace):
     system = HLatchSystem()
     system.load_taint(trace.layout)
-    for index in range(trace.access_count):
-        system.access(
-            int(trace.addresses[index]),
-            int(trace.sizes[index]),
-            bool(trace.is_write[index]),
-        )
+    reference.replay_hlatch_window(
+        system, trace.addresses, trace.sizes, trace.is_write
+    )
     return system.snapshot().to_dict()
+
+
+def _baseline_dict(trace):
+    cache = PreciseTaintCache(CONVENTIONAL_TAINT_CACHE)
+    reference.replay_taint_cache(
+        cache, trace.addresses, trace.sizes, trace.is_write
+    )
+    return {"accesses": cache.stats.accesses, "misses": cache.stats.misses}
 
 
 def main() -> None:
@@ -56,18 +63,15 @@ def main() -> None:
         stream = generator.epoch_stream(EPOCH_SCALE)
         save_access_trace(trace, GOLDEN_DIR / f"{name}_w{TRACE_WINDOW}_s{SEED}.npz")
         save_epoch_stream(stream, GOLDEN_DIR / f"{name}_epochs_s{SEED}.npz")
-        baseline = run_baseline(trace, backend="scalar")
+        profile = reference.duration_profile(
+            stream.taint_free_lengths(), stream.total_instructions,
+            FIG5_THRESHOLDS,
+        )
         expected[name] = {
             "hlatch_snapshot": _hlatch_snapshot_dict(trace),
-            "baseline": {
-                "accesses": baseline.accesses,
-                "misses": baseline.misses,
-            },
+            "baseline": _baseline_dict(trace),
             "epoch_profile": {
-                str(threshold): value
-                for threshold, value in epoch_duration_profile(
-                    stream, backend="scalar"
-                ).items()
+                str(threshold): value for threshold, value in profile.items()
             },
         }
 

@@ -13,8 +13,9 @@ for provenance).  These tests serve two purposes:
   exercised against genuine zip corruption rather than a synthetic
   monkeypatched error.
 
-Both kernel backends replay every golden trace and must match the
-golden snapshot *and* each other byte for byte.
+Every golden trace replays both on the vector kernels (``vector``) and
+on their reference loops (``scalar``), and must match the golden
+snapshot — and so each other — byte for byte.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import pytest
 from repro.analysis.temporal import epoch_duration_profile
 from repro.hlatch.baseline import run_baseline
 from repro.hlatch.system import HLatchSystem
-from repro.kernels import replay_hlatch_window
+from repro.kernels import reference, replay_hlatch_window
 from repro.workloads.storage import (
     StorageFormatError,
     load_access_trace,
     load_epoch_stream,
 )
+from tests.kernel_reference import kernels
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKLOADS = ("gcc", "curl")
@@ -46,19 +48,13 @@ def _trace_path(name):
 
 
 def _replay_snapshot(trace, backend):
+    replay = (
+        reference.replay_hlatch_window if backend == "scalar"
+        else replay_hlatch_window
+    )
     system = HLatchSystem()
     system.load_taint(trace.layout)
-    if backend == "vector":
-        replay_hlatch_window(
-            system, trace.addresses, trace.sizes, trace.is_write
-        )
-    else:
-        for index in range(trace.access_count):
-            system.access(
-                int(trace.addresses[index]),
-                int(trace.sizes[index]),
-                bool(trace.is_write[index]),
-            )
+    replay(system, trace.addresses, trace.sizes, trace.is_write)
     return system.snapshot()
 
 
@@ -75,7 +71,8 @@ class TestGoldenReplay:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_baseline_matches_golden(self, name, backend):
         trace = load_access_trace(_trace_path(name))
-        report = run_baseline(trace, backend=backend)
+        with kernels(backend):
+            report = run_baseline(trace)
         golden = EXPECTED[name]["baseline"]
         assert report.accesses == golden["accesses"]
         assert report.misses == golden["misses"]
@@ -84,7 +81,8 @@ class TestGoldenReplay:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_epoch_profile_matches_golden(self, name, backend):
         stream = load_epoch_stream(GOLDEN_DIR / f"{name}_epochs_s0.npz")
-        profile = epoch_duration_profile(stream, backend=backend)
+        with kernels(backend):
+            profile = epoch_duration_profile(stream)
         golden = EXPECTED[name]["epoch_profile"]
         # The golden floats were serialised through json, so comparing
         # their round-trips checks exact bit patterns, not tolerances.

@@ -1,16 +1,16 @@
 """Differential conformance harness for :mod:`repro.kernels`.
 
-The scalar per-access loops are the executable specification; the
-vector backend is required to reproduce their published counters *byte
-for byte* — every equivalence assertion here compares serialised
-:class:`~repro.obs.StatsSnapshot` JSON (or exact numpy arrays), never
-tolerances.  Hypothesis drives adversarial windows at the shapes the
+The per-access loops of :mod:`repro.kernels.reference` are the
+executable specification; the vector kernels are required to reproduce
+their published counters *byte for byte* — every equivalence assertion
+here compares serialised :class:`~repro.obs.StatsSnapshot` JSON (or
+exact numpy arrays), never tolerances.  Hypothesis drives adversarial windows at the shapes the
 kernels special-case: empty windows, single-access windows, operands
 straddling domain/page/line boundaries, and all-tainted / taint-free
 taint layouts, across small and paper-scale LATCH geometries.
 
 The suite-level test at the bottom replays the Table 1–4/6/7 runner
-suites at tiny scale under both ``REPRO_KERNEL_BACKEND`` settings and
+suites at tiny scale on the reference loops and on the kernels and
 asserts identical job snapshots — the acceptance criterion the CI tier
 enforces.
 """
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.temporal import epoch_duration_profile
+from repro.analysis.temporal import FIG5_THRESHOLDS, epoch_duration_profile
 from repro.core.latch import LatchConfig
 from repro.hlatch.baseline import run_baseline
 from repro.hlatch.system import HLatchSystem, run_hlatch
@@ -33,16 +33,16 @@ from repro.hlatch.taint_cache import (
     HLATCH_TAINT_CACHE,
 )
 from repro.kernels import (
-    BACKEND_ENV_VAR,
     epoch_stream_from_trace,
+    reference,
     replay_hlatch_window,
-    resolve_backend,
 )
 from repro.runner.specs import suite_jobs
 from repro.runner.worker import execute_job
 from repro.slatch.simulator import measure_hw_rates
 from repro.workloads.suites import EXPERIMENT_SUITES
 from repro.workloads.trace import AccessTrace, EpochStream, TaintLayout
+from tests.kernel_reference import KERNEL_CALL_SITES, reference_loops
 
 #: Address space exercised by the strategies: four pages.
 SPAN = 4 * 4096
@@ -127,21 +127,11 @@ def windows(draw):
     )
 
 
-def _hlatch_snapshot(trace, latch_config, tcache_config, backend):
+def _hlatch_snapshot(trace, latch_config, tcache_config, replay):
     """Replay a window through a fresh stack; freeze its counters."""
     system = HLatchSystem(latch_config, tcache_config)
     system.load_taint(trace.layout)
-    if backend == "vector":
-        replay_hlatch_window(
-            system, trace.addresses, trace.sizes, trace.is_write
-        )
-    else:
-        for index in range(trace.access_count):
-            system.access(
-                int(trace.addresses[index]),
-                int(trace.sizes[index]),
-                bool(trace.is_write[index]),
-            )
+    replay(system, trace.addresses, trace.sizes, trace.is_write)
     return system.snapshot()
 
 
@@ -150,11 +140,15 @@ def assert_window_equivalent(
     latch_config=None,
     tcache_config=HLATCH_TAINT_CACHE,
 ):
-    """The core oracle: scalar and vector snapshots are byte-identical."""
+    """The core oracle: reference and kernel snapshots are byte-identical."""
     latch_config = latch_config or LatchConfig()
-    scalar = _hlatch_snapshot(trace, latch_config, tcache_config, "scalar")
-    vector = _hlatch_snapshot(trace, latch_config, tcache_config, "vector")
-    assert scalar.to_json() == vector.to_json()
+    expected = _hlatch_snapshot(
+        trace, latch_config, tcache_config, reference.replay_hlatch_window
+    )
+    actual = _hlatch_snapshot(
+        trace, latch_config, tcache_config, replay_hlatch_window
+    )
+    assert expected.to_json() == actual.to_json()
 
 
 def _trace(addresses, sizes=None, writes=None, extents=()):
@@ -178,7 +172,7 @@ def _trace(addresses, sizes=None, writes=None, extents=()):
 
 
 class TestHLatchEquivalence:
-    """Vector replay of the full H-LATCH stack matches the scalar loop."""
+    """Vector replay of the full H-LATCH stack matches the reference loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(trace=windows(), latch_config=LATCH_CONFIGS,
@@ -193,9 +187,9 @@ class TestHLatchEquivalence:
             [0, 64, 4095, 8192, 64, 0], sizes=[4, 8, 4, 1, 2, 0],
             extents=[(32, 64), (4090, 16)],
         )
-        scalar = run_hlatch(trace, backend="scalar")
-        vector = run_hlatch(trace, backend="vector")
-        assert scalar == vector
+        with reference_loops():
+            expected = run_hlatch(trace)
+        assert run_hlatch(trace) == expected
 
 
 class TestEdgeWindows:
@@ -246,34 +240,40 @@ class TestEdgeWindows:
 
 
 class TestConsumerEquivalence:
-    """Every backend-routed consumer API agrees across backends."""
+    """Every kernel-backed consumer API agrees with its reference loop."""
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows())
     def test_baseline_reports_equal(self, trace):
-        assert run_baseline(trace, backend="scalar") == run_baseline(
-            trace, backend="vector"
-        )
+        with reference_loops():
+            expected = run_baseline(trace)
+        assert run_baseline(trace) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows(), latch_config=LATCH_CONFIGS)
     def test_hw_rates_equal(self, trace, latch_config):
-        scalar = measure_hw_rates(trace, latch_config, backend="scalar")
-        vector = measure_hw_rates(trace, latch_config, backend="vector")
-        assert scalar == vector
+        with reference_loops():
+            expected = measure_hw_rates(trace, latch_config)
+        assert measure_hw_rates(trace, latch_config) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(trace=windows())
     def test_epoch_stream_from_trace_equal(self, trace):
-        scalar = epoch_stream_from_trace(trace, backend="scalar")
-        vector = epoch_stream_from_trace(trace, backend="vector")
-        assert np.array_equal(scalar.lengths, vector.lengths)
-        assert np.array_equal(scalar.tainted_counts, vector.tainted_counts)
+        with reference_loops():
+            expected = epoch_stream_from_trace(trace)
+        actual = epoch_stream_from_trace(trace)
+        assert np.array_equal(expected.lengths, actual.lengths)
+        assert np.array_equal(expected.tainted_counts, actual.tainted_counts)
 
     @settings(max_examples=40, deadline=None)
     @given(
         epochs=st.lists(
-            st.tuples(st.integers(1, 2_000_000), st.booleans()),
+            st.tuples(
+                # Lengths equal to a threshold pin the inclusive bound.
+                st.one_of(st.sampled_from(FIG5_THRESHOLDS),
+                          st.integers(1, 2_000_000)),
+                st.booleans(),
+            ),
             max_size=30,
         )
     )
@@ -285,10 +285,12 @@ class TestConsumerEquivalence:
                 [l if t else 0 for l, t in epochs], dtype=np.int64
             ),
         )
-        scalar = epoch_duration_profile(stream, backend="scalar")
-        vector = epoch_duration_profile(stream, backend="vector")
+        with reference_loops():
+            expected = epoch_duration_profile(stream)
         # json round-trip compares the exact float bit patterns.
-        assert json.dumps(scalar) == json.dumps(vector)
+        assert json.dumps(epoch_duration_profile(stream)) == json.dumps(
+            expected
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -301,42 +303,62 @@ class TestConsumerEquivalence:
     )
     def test_layout_domains_and_pages_equal(self, extents, domain_size):
         layout = TaintLayout(extents=extents)
-        assert np.array_equal(
-            layout.tainted_domains(domain_size, backend="scalar"),
-            layout.tainted_domains(domain_size, backend="vector"),
-        )
-        assert layout.tainted_pages(backend="scalar") == layout.tainted_pages(
-            backend="vector"
-        )
+        with reference_loops():
+            domains = layout.tainted_domains(domain_size)
+            pages = layout.tainted_pages()
+        assert np.array_equal(layout.tainted_domains(domain_size), domains)
+        assert layout.tainted_pages() == pages
 
 
-class TestBackendResolution:
-    """Precedence: explicit argument > environment > package default."""
+class TestReferenceSwap:
+    """The swap reaches every call site, and only tests make it."""
 
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "vector"
+    def test_call_sites_run_the_kernels_outside_the_swap(self):
+        import importlib
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend(None) == "scalar"
+        import repro.kernels as kernels
 
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend("vector") == "vector"
+        for module, name in KERNEL_CALL_SITES:
+            site = getattr(importlib.import_module(module), name)
+            assert site is getattr(kernels, name), f"{module}.{name}"
+            with reference_loops():
+                site = getattr(importlib.import_module(module), name)
+                assert site is getattr(reference, name), f"{module}.{name}"
 
-    def test_auto_defers(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend("auto") == "scalar"
+    def test_every_reference_loop_has_a_call_site(self):
+        public = {
+            name for name in vars(reference)
+            if not name.startswith("_")
+            and callable(getattr(reference, name))
+            and getattr(reference, name).__module__ == reference.__name__
+        }
+        assert public == {name for _, name in KERNEL_CALL_SITES}
 
-    def test_invalid_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR):
-            resolve_backend(None)
+    def test_production_code_never_imports_the_reference(self):
+        import ast
+        from pathlib import Path
 
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")
+        import repro
+
+        def imported(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    yield from (
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if any(
+                name.startswith(reference.__name__)
+                for name in imported(ast.parse(path.read_text()))
+            )
+        ]
+        assert offenders == []
 
 
 #: Tiny scales keep the whole six-suite sweep in CI-smoke territory.
@@ -344,10 +366,9 @@ SUITE_EPOCH_SCALE = 20_000
 SUITE_TRACE_WINDOW = 1_500
 
 
-def _suite_snapshots(suite, monkeypatch, backend):
-    """Execute a suite's first two workloads under one backend."""
+def _suite_snapshots(suite):
+    """Execute a suite's first two workloads."""
     names = EXPERIMENT_SUITES[suite][0][1][:2]
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
     snapshots = {}
     for spec in suite_jobs(
         suite,
@@ -363,13 +384,14 @@ def _suite_snapshots(suite, monkeypatch, backend):
 @pytest.mark.parametrize(
     "suite", ["table1", "table2", "table3", "table4", "table6", "table7"]
 )
-def test_table_suite_snapshots_backend_independent(suite, monkeypatch):
+def test_table_suite_snapshots_backend_independent(suite):
     """The acceptance criterion: every table suite's job snapshots are
-    identical whichever backend ``REPRO_KERNEL_BACKEND`` selects."""
-    scalar = _suite_snapshots(suite, monkeypatch, "scalar")
-    vector = _suite_snapshots(suite, monkeypatch, "vector")
-    assert scalar.keys() == vector.keys()
-    for job_id in scalar:
-        assert json.dumps(scalar[job_id], sort_keys=True) == json.dumps(
-            vector[job_id], sort_keys=True
-        ), f"{suite}:{job_id} diverged between backends"
+    identical on the reference loops and on the kernels."""
+    with reference_loops():
+        expected = _suite_snapshots(suite)
+    actual = _suite_snapshots(suite)
+    assert expected.keys() == actual.keys()
+    for job_id in expected:
+        assert json.dumps(expected[job_id], sort_keys=True) == json.dumps(
+            actual[job_id], sort_keys=True
+        ), f"{suite}:{job_id} diverged between reference and kernels"

@@ -285,33 +285,14 @@ def test_publish_metrics_exposes_pipeline_series():
     assert "ctc.hit_rate" in snapshot
 
 
-def test_backend_and_gate_batch_resolve_once_at_construction(monkeypatch):
-    """Flipping REPRO_KERNEL_BACKEND mid-run leaves a live pipeline alone."""
-    from repro.kernels.backend import BACKEND_ENV_VAR
-
-    def counters(pipeline):
-        return (
-            dataclasses.asdict(pipeline.stats),
-            dataclasses.asdict(pipeline.gate.stats),
-            dataclasses.asdict(pipeline.latch.stats),
-            signature(pipeline.engine),
-        )
-
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
-    steady = run_pipeline(programs.phased_compute, backend=None)
-
-    cpu = programs.phased_compute().make_cpu()
-    pipeline = StreamingPipeline(cpu, config=PipelineConfig(backend=None))
+def test_default_pipeline_is_vector_with_gate_batch_16():
+    pipeline = StreamingPipeline(programs.phased_compute().make_cpu())
     assert (pipeline.backend, pipeline.gate_batch) == ("vector", 16)
-    flips = 0
-    while not cpu.halted:
-        cpu.run(500)
-        flips += 1
-        monkeypatch.setenv(
-            BACKEND_ENV_VAR, "scalar" if flips % 2 else "vector"
-        )
-        assert (pipeline.backend, pipeline.gate_batch) == ("vector", 16)
-        assert pipeline.gate.backend == "vector"
-    pipeline.finish()
-    assert flips > 2
-    assert counters(pipeline) == counters(steady)
+    assert pipeline.gate.backend == "vector"
+    assert pipeline.config == PipelineConfig(gate_batch=16)
+
+
+@pytest.mark.parametrize("backend", ["gpu", "auto", None, "Vector"])
+def test_unknown_backend_rejected_at_construction(backend):
+    with pytest.raises(ValueError, match="backend must be one of"):
+        PipelineConfig(backend=backend)

@@ -56,6 +56,19 @@ class TestJobSpec:
         )
         assert spec.key() != before
 
+    @pytest.mark.parametrize("kind", ["hlatch", "slatch", "page_taint"])
+    def test_key_ignores_the_retired_kernel_backend_variable(
+        self, kind, monkeypatch
+    ):
+        # One replay path: the variable that used to pick the kernel
+        # backend must not split the cache.
+        spec = JobSpec.make(kind, "gcc", trace_window=5_000)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        unset = spec.key()
+        for value in ("scalar", "vector"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", value)
+            assert spec.key() == unset
+
     def test_chaos_workloads_have_no_profile(self):
         spec = JobSpec.make("chaos", "not-a-benchmark", value=1)
         assert spec._profile_fingerprint() is None

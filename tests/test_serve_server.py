@@ -278,6 +278,25 @@ class TestOverload:
                 holder.close()
                 waiter.close()
 
+    def test_invalid_backend_refused_without_leaking_a_slot(self):
+        # More bad stream-opens than the table has slots: each must be
+        # refused with code="config" and give its slot back, or the
+        # table fills and every tenant gets RETRY (inflight) for ever.
+        config = ServeConfig(max_inflight=4)
+        with running_server(config) as (server, (host, port)):
+            with ServeClient(host, port, tenant="bad") as client:
+                for _ in range(config.max_inflight + 2):
+                    client._send({"type": "stream_open",
+                                  "pipeline": {"backend": "gpu"}})
+                    reply = client._recv()
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "config"
+                    assert "backend" in reply["detail"]
+                assert client.ping()
+                assert len(server.inflight) == 0
+                stream, retries = client.open_stream()
+                assert stream and retries == 0
+
     def test_zero_capacity_tenant_always_retry_never_error(self, traces):
         config = ServeConfig(tenant_overrides={
             "paused": TenantLimits(rate=0.0, burst=0.0),

@@ -12,8 +12,8 @@ Coverage:
 
 * seeded random shard plans over the golden gcc/curl windows, including
   empty shards, single-access shards, and cut points at 0/1/n-1/n;
-* scalar-backend and vector-backend object replays as the references —
-  the columnar result must match both;
+* object replays on the reference loops and on the vector kernels as
+  the references — the columnar result must match both;
 * the 32-bit wrap-around reproducers from ``tests/corpus/`` (address
   masking straddles shard boundaries there);
 * the planner's partition/snapping invariants, and the rejection of
@@ -33,11 +33,13 @@ from repro.check.oracle import run_reference
 from repro.hlatch.system import HLATCH_LATCH_CONFIG, HLatchSystem, run_hlatch
 from repro.hlatch.baseline import run_baseline
 from repro.hlatch.taint_cache import HLATCH_TAINT_CACHE
+from repro.kernels import reference
 from repro.kernels.replay import replay_check_memory
 from repro.trace.convert import columnar_trace_bytes
 from repro.trace.replay import merge_partials, replay_columnar, shard_partial
 from repro.trace.shard import explicit_plan, plan_shards
 from repro.workloads.storage import load_access_trace
+from tests.kernel_reference import kernels
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -102,12 +104,9 @@ class TestShardedEqualsScalar:
             trace = _golden(name)
             system = HLatchSystem()
             system.load_taint(trace.layout)
-            for index in range(trace.access_count):
-                system.access(
-                    int(trace.addresses[index]),
-                    int(trace.sizes[index]),
-                    bool(trace.is_write[index]),
-                )
+            reference.replay_hlatch_window(
+                system, trace.addresses, trace.sizes, trace.is_write
+            )
             snapshots[name] = system.snapshot().to_dict()["metrics"]
         return snapshots
 
@@ -128,7 +127,8 @@ class TestShardedEqualsScalar:
     @pytest.mark.parametrize("backend", ("scalar", "vector"))
     def test_report_matches_both_object_backends(self, name, backend):
         trace = _golden(name)
-        object_report = run_hlatch(trace, backend=backend)
+        with kernels(backend):
+            object_report = run_hlatch(trace)
         columnar = replay_columnar(
             columnar_trace_bytes(trace), shards=5, baseline_config=None
         )
@@ -138,7 +138,8 @@ class TestShardedEqualsScalar:
     @pytest.mark.parametrize("backend", ("scalar", "vector"))
     def test_baseline_matches_both_object_backends(self, name, backend):
         trace = _golden(name)
-        object_report = run_baseline(trace, backend=backend)
+        with kernels(backend):
+            object_report = run_baseline(trace)
         columnar = replay_columnar(columnar_trace_bytes(trace), shards=7)
         assert columnar.baseline == object_report
 
