@@ -15,8 +15,8 @@ Public surface:
 * :class:`~repro.dift.policy.TaintPolicy` — which sources taint, which
   sinks and uses are checked.
 * :class:`~repro.dift.events.SecurityAlert` / ``AlertKind`` — violations.
-* :mod:`~repro.dift.propagation` — the shared DTA propagation rules (the
-  same rules drive the hardware propagation logic in H-LATCH).
+* :mod:`~repro.dift.propagation` — the DTA rules, one handler per opcode
+  (the same engine drives the hardware propagation logic in H-LATCH).
 """
 
 from repro.dift.tags import ShadowMemory, TaintRegisterFile

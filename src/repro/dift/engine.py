@@ -8,7 +8,7 @@ observer and performs the four DIFT components of Figure 3 of the paper:
 2. **Storage** — byte-granular :class:`~repro.dift.tags.ShadowMemory`
    and the :class:`~repro.dift.tags.TaintRegisterFile`.
 3. **Propagation** — the classical DTA rules of
-   :mod:`repro.dift.propagation`, applied at every committed instruction.
+   :mod:`repro.dift.propagation`, one pre-resolved handler per opcode.
 4. **Validation** — data-use checks (tainted jump targets, protected
    syscall arguments, output leaks) raising
    :class:`~repro.dift.events.SecurityAlert`.
@@ -28,7 +28,7 @@ from repro.isa.instructions import Opcode
 from repro.machine.events import InputEvent, Observer, OutputEvent, StepEvent
 from repro.dift.events import AlertKind, SecurityAlert, SecurityException
 from repro.dift.policy import TaintPolicy
-from repro.dift.propagation import PropagationResult, propagate
+from repro.dift.propagation import HANDLERS
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
 
 #: Signature of a tag-write listener: ``(address, tags)`` after the write.
@@ -37,6 +37,7 @@ TagListener = Callable[[int, bytes], None]
 #: Syscall argument registers checked by the protected-syscall policy.
 _SYSCALL_ARG_REGISTERS = (4, 5, 6)
 _RETURN_ADDRESS_REGISTER = 1  # "ra" by convention
+_VALIDATED_OPCODES = frozenset({Opcode.JALR, Opcode.SYSCALL})
 
 
 @dataclass
@@ -72,7 +73,8 @@ class DIFTEngine(Observer):
         self.trf = TaintRegisterFile()
         self.stats = DIFTStats()
         self.alerts: List[SecurityAlert] = []
-        self.last_result: Optional[PropagationResult] = None
+        #: Whether the latest :meth:`on_step` instruction touched taint.
+        self.last_touched = False
         self.colors = ColorAllocator()
         self._tag_listeners: List[TagListener] = []
 
@@ -140,13 +142,13 @@ class DIFTEngine(Observer):
     def on_step(self, event: StepEvent) -> None:
         """Propagate taint and run validation for one instruction."""
         self.stats.instructions += 1
-        self._validate_before(event)
-        result = propagate(event, self.trf, self.shadow)
-        self.last_result = result
-        if result.touched_taint:
+        opcode = event.instruction.opcode
+        if opcode in _VALIDATED_OPCODES:
+            self._validate_before(event)
+        touched = HANDLERS[opcode](event, self.trf, self.shadow, self._tag_listeners)
+        self.last_touched = touched
+        if touched:
             self.stats.tainted_instructions += 1
-        for address, tags in result.memory_tag_writes:
-            self._notify_tags(address, tags)
 
     def on_output(self, event: OutputEvent) -> None:
         """Check output sinks for tainted bytes (leak detection)."""
@@ -235,6 +237,8 @@ class DIFTEngine(Observer):
     def taint_region(self, address: int, length: int, tag: Optional[int] = None) -> None:
         """Manually taint a region (e.g. sensitive data for leak tests)."""
         value = tag if tag is not None else self.policy.taint_tag
+        if not 1 <= value <= 255:
+            raise ValueError(f"taint tag must be in 1..255, got {value!r}")
         self.shadow.set_range(address, length, value)
         self._notify_tags(address, bytes([value]) * length)
 

@@ -31,7 +31,7 @@ class TaintPolicy:
         check_output_leaks: alert when tainted bytes reach an output sink.
         stop_on_alert: raise :class:`SecurityException` instead of only
             recording the alert.
-        taint_tag: the tag value written at sources (must be non-zero).
+        taint_tag: the tag value written at sources (1..255; 0 is clean).
         color_by_source: assign a distinct tag value per source name
             (see :mod:`repro.dift.colors`), so alerts can attribute the
             offending bytes to the input that produced them;
@@ -50,8 +50,8 @@ class TaintPolicy:
     color_by_source: bool = False
 
     def __post_init__(self) -> None:
-        if self.taint_tag == 0:
-            raise ValueError("taint_tag must be non-zero")
+        if not 1 <= self.taint_tag <= 255:
+            raise ValueError(f"taint_tag must be in 1..255, got {self.taint_tag!r}")
 
     def should_taint(self, event: InputEvent) -> bool:
         """Decide whether the bytes of ``event`` become tainted."""

@@ -1,4 +1,4 @@
-"""Classical Dynamic Taint Analysis propagation rules.
+"""Classical Dynamic Taint Analysis propagation rules, one handler per opcode.
 
 These are the rules libdft applies (and the paper adopts: "All of our
 evaluations apply the classical Dynamic Taint Analysis rules used by
@@ -8,151 +8,133 @@ evaluations apply the classical Dynamic Taint Analysis rules used by
   the self-cancelling idioms ``xor rd, rs, rs`` and ``sub rd, rs, rs``
   clear the destination (their result is a constant);
 * register-immediate ALU: destination tags = source tags;
-* ``lui`` and ``jal``/``jalr`` link writes: destination cleared
-  (immediate data is untainted by definition);
+* ``lui``, ``ltnt`` and ``jal``/``jalr`` link writes: destination cleared
+  (immediates and machine metadata are untainted by definition);
 * loads: destination tags = shadow tags of the loaded bytes, with the
   sign/zero-extension bytes inheriting the tag of the top loaded byte;
 * stores: shadow tags of the stored bytes = source-register tags.
 
-The same function drives both the software engine
-(:class:`repro.dift.engine.DIFTEngine`) and the hardware propagation
-model in H-LATCH, so the two can never diverge.
+As in libdft, each rule is resolved once: :data:`HANDLERS` maps every
+opcode to a handler that updates the TRF and shadow memory in place,
+tells the tag listeners of every shadow write (clean stores included),
+and returns whether the instruction touched taint: a tainted source
+register, or a memory operand byte tainted before or after the access
+(never for ``stnt``, which is taint management).  Sources are tested
+against the TRF dirty mask, so clean instructions allocate nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, Dict, Iterable
 
-from repro.isa.instructions import Format, Instruction, Opcode
+from repro.isa.instructions import OPCODE_FORMAT, Format, Opcode
 from repro.machine.events import StepEvent
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
 
-_CLEARING_OPS = frozenset({Opcode.XOR, Opcode.SUB})
-_SIGNED_LOADS = frozenset({Opcode.LB, Opcode.LH})
+_WIDTH = TaintRegisterFile.BYTES_PER_REGISTER
 
 
-@dataclass
-class PropagationResult:
-    """Outcome of propagating taint through one instruction.
+def _alu(event, trf, shadow, listeners):
+    instruction = event.instruction
+    return trf.merge(instruction.rd, instruction.rs1, instruction.rs2)
 
-    Attributes:
-        touched_taint: the instruction manipulated tainted data — any
-            source register carried taint, or any byte of any memory
-            operand (read or written) was tainted before/after the
-            access.  This is the paper's "instructions touching tainted
-            data" metric (Tables 1 and 2).
-        tainted_sources: True if a source register or loaded byte was
-            tainted (used by data-use checks).
-        memory_tag_writes: (address, tags) pairs applied to shadow
-            memory, exposed so LATCH integrations can synchronise the
-            coarse taint state (Sections 5.1.4 and 5.3.1).
-        register_tag_writes: (register, tags) pairs applied to the TRF.
-    """
 
-    touched_taint: bool = False
-    tainted_sources: bool = False
-    memory_tag_writes: List[Tuple[int, bytes]] = field(default_factory=list)
-    register_tag_writes: List[Tuple[int, bytes]] = field(default_factory=list)
+def _alu_immediate(event, trf, shadow, listeners):
+    instruction = event.instruction
+    return trf.copy(instruction.rd, instruction.rs1)
+
+
+def _clear_destination(event, trf, shadow, listeners):
+    instruction = event.instruction
+    touched = trf.is_tainted(instruction.rs1)
+    trf.clear(instruction.rd)
+    return touched
+
+
+def _alu_self_cancelling(event, trf, shadow, listeners):
+    instruction = event.instruction
+    if instruction.rs1 == instruction.rs2:
+        return _clear_destination(event, trf, shadow, listeners)
+    return trf.merge(instruction.rd, instruction.rs1, instruction.rs2)
+
+
+def _constant(event, trf, shadow, listeners):
+    trf.clear(event.instruction.rd)
+    return False
+
+
+def _load(signed: bool):
+    def handler(event, trf, shadow, listeners):
+        instruction = event.instruction
+        access = event.reads[0]
+        touched = trf.is_tainted(instruction.rs1)
+        tags = shadow.get_range(access.address, access.size)
+        if not any(tags):
+            trf.clear(instruction.rd)
+            return touched
+        if len(tags) < _WIDTH:
+            tags += (tags[-1:] if signed else b"\x00") * (_WIDTH - len(tags))
+        trf.set(instruction.rd, tags)
+        return True
+
+    return handler
+
+
+def _store(event, trf, shadow, listeners):
+    instruction = event.instruction
+    access = event.writes[0]
+    address = access.address
+    touched = (
+        trf.is_tainted(instruction.rs1)
+        or trf.is_tainted(instruction.rs2)
+        or shadow.any_tainted(address, access.size)
+    )
+    tags = trf.get(instruction.rs2)[: access.size]
+    shadow.set_tags(address, tags)
+    for listener in listeners:
+        listener(address, tags)
+    return touched
+
+
+def _reads(event, trf, shadow, listeners):
+    # Branches, nop, halt, syscall, strf: no register/memory taint flow.
+    return trf.any_tainted(event.regs_read)
+
+
+def _build() -> Dict[Opcode, Callable]:
+    handlers = dict.fromkeys(Opcode, _reads)
+    for opcode, fmt in OPCODE_FORMAT.items():
+        if fmt in (Format.R, Format.I):
+            handlers[opcode] = _alu if fmt == Format.R else _alu_immediate
+    handlers.update({
+        Opcode.XOR: _alu_self_cancelling,
+        Opcode.SUB: _alu_self_cancelling,
+        Opcode.LUI: _constant,
+        Opcode.LTNT: _constant,
+        Opcode.JAL: _constant,
+        Opcode.JALR: _clear_destination,
+        Opcode.LB: _load(signed=True),
+        Opcode.LH: _load(signed=True),
+        Opcode.LBU: _load(signed=False),
+        Opcode.LHU: _load(signed=False),
+        Opcode.LW: _load(signed=False),
+        Opcode.SB: _store,
+        Opcode.SH: _store,
+        Opcode.SW: _store,
+        Opcode.STNT: lambda event, trf, shadow, listeners: False,
+    })
+    return handlers
+
+
+#: ``HANDLERS[opcode](event, trf, shadow, listeners) -> touched``.
+HANDLERS = _build()
 
 
 def propagate(
     event: StepEvent,
     trf: TaintRegisterFile,
     shadow: ShadowMemory,
-) -> PropagationResult:
-    """Apply the classical DTA rules for one committed instruction.
-
-    Mutates ``trf`` and ``shadow`` in place and reports what changed.
-    """
-    instruction = event.instruction
-    opcode = instruction.opcode
-    result = PropagationResult()
-
-    source_tainted = trf.any_tainted(event.regs_read)
-    result.tainted_sources = source_tainted
-    result.touched_taint = source_tainted
-
-    if instruction.is_load:
-        access = event.reads[0]
-        tags = shadow.get_range(access.address, access.size)
-        if any(tags):
-            result.touched_taint = True
-            result.tainted_sources = True
-        extended = _extend_tags(tags, opcode)
-        trf.set(instruction.rd, extended)
-        result.register_tag_writes.append((instruction.rd, extended))
-        return result
-
-    if instruction.is_store:
-        access = event.writes[0]
-        value_tags = trf.get(instruction.rs2)[: access.size]
-        # A store touches taint if the stored value is tainted or the
-        # destination bytes were tainted (the store may be clearing them).
-        if any(value_tags) or shadow.any_tainted(access.address, access.size):
-            result.touched_taint = True
-        shadow.set_tags(access.address, value_tags)
-        result.memory_tag_writes.append((access.address, bytes(value_tags)))
-        return result
-
-    if opcode == Opcode.STNT:
-        # Taint-management instruction: handled by the LATCH port, and
-        # deliberately NOT counted as an application taint access.
-        result.touched_taint = False
-        result.tainted_sources = False
-        return result
-
-    fmt = instruction.format
-    if fmt == Format.R:
-        if opcode in _CLEARING_OPS and instruction.rs1 == instruction.rs2:
-            tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        else:
-            tags = trf.union(instruction.rs1, instruction.rs2)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode == Opcode.LUI:
-        tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode in (Opcode.JAL, Opcode.JALR):
-        if instruction.rd not in (None, 0):
-            tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-            trf.set(instruction.rd, tags)
-            result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if fmt == Format.I and instruction.rd is not None and opcode != Opcode.LTNT:
-        tags = trf.get(instruction.rs1) if instruction.rs1 is not None else bytes(4)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    if opcode == Opcode.LTNT:
-        # The loaded exception address is machine metadata, never tainted.
-        tags = bytes(TaintRegisterFile.BYTES_PER_REGISTER)
-        trf.set(instruction.rd, tags)
-        result.register_tag_writes.append((instruction.rd, tags))
-        return result
-
-    # Branches, nop, halt, syscall, strf: no register/memory taint flow.
-    return result
-
-
-def _extend_tags(tags: bytes, opcode: Opcode) -> bytes:
-    """Extend loaded tags to a full register width.
-
-    Sign-extension replicates the top loaded byte's tag into the upper
-    bytes (a tainted sign bit taints the extension); zero-extension and
-    full-width loads pad with clean tags.
-    """
-    width = TaintRegisterFile.BYTES_PER_REGISTER
-    if len(tags) >= width:
-        return bytes(tags[:width])
-    if opcode in _SIGNED_LOADS and tags:
-        fill = tags[-1]
-        return bytes(tags) + bytes([fill]) * (width - len(tags))
-    return bytes(tags).ljust(width, b"\x00")
+    listeners: Iterable[Callable[[int, bytes], None]] = (),
+) -> bool:
+    """Apply one instruction's rule; listeners get ``(address, tags)``."""
+    return HANDLERS[event.instruction.opcode](event, trf, shadow, listeners)

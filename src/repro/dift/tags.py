@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 _PAGE_SIZE = 4096
 _PAGE_SHIFT = 12
+_OFFSET_MASK = _PAGE_SIZE - 1
 _MASK32 = 0xFFFFFFFF
 _CLEAN_REGISTER = bytes(4)
 
@@ -38,25 +39,26 @@ class ShadowMemory:
         page = self._pages.get((address & _MASK32) >> _PAGE_SHIFT)
         if page is None:
             return 0
-        return page[address & (_PAGE_SIZE - 1)]
+        return page[address & _OFFSET_MASK]
 
     def get_range(self, address: int, length: int) -> bytes:
-        """Tags of ``length`` bytes starting at ``address``."""
+        """Tags of ``length`` bytes starting at ``address`` (in-page: a slice)."""
+        address &= _MASK32
+        offset = address & _OFFSET_MASK
+        if 0 < length <= _PAGE_SIZE - offset:
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            if page is None:
+                return bytes(length)
+            return bytes(page[offset : offset + length])
         return bytes(self.get((address + i) & _MASK32) for i in range(length))
 
     def any_tainted(self, address: int, length: int) -> bool:
         """True if any byte in [address, address+length) is tainted."""
-        for offset in range(length):
-            if self.get((address + offset) & _MASK32):
-                return True
-        return False
+        return any(self.get_range(address, length))
 
     def all_tainted(self, address: int, length: int) -> bool:
         """True if every byte in the range is tainted."""
-        for offset in range(length):
-            if not self.get((address + offset) & _MASK32):
-                return False
-        return True
+        return all(self.get_range(address, length))
 
     @property
     def tainted_byte_count(self) -> int:
@@ -87,16 +89,7 @@ class ShadowMemory:
     def iter_tainted_domains(self, domain_size: int) -> Iterator[int]:
         """Yield the base address of every ``domain_size``-aligned region
         containing at least one tainted byte (ascending; bulk scan)."""
-        if domain_size < 1 or _PAGE_SIZE % domain_size:
-            raise ValueError("domain_size must divide the page size")
-        for number in sorted(self._pages):
-            page = self._pages[number]
-            if not any(page):
-                continue
-            base = number << _PAGE_SHIFT
-            for offset in range(0, _PAGE_SIZE, domain_size):
-                if any(page[offset : offset + domain_size]):
-                    yield base + offset
+        yield from self.tainted_domain_bases(domain_size).tolist()
 
     def tainted_domain_bases(self, domain_size: int) -> "np.ndarray":
         """Vectorised twin of :meth:`iter_tainted_domains`.
@@ -128,22 +121,8 @@ class ShadowMemory:
     # ------------------------------------------------------------ mutation
 
     def set(self, address: int, tag: int) -> None:
-        """Set the tag of one byte; ``tag`` 0 clears."""
-        address &= _MASK32
-        number = address >> _PAGE_SHIFT
-        page = self._pages.get(number)
-        if page is None:
-            if tag == 0:
-                return
-            page = bytearray(_PAGE_SIZE)
-            self._pages[number] = page
-        offset = address & (_PAGE_SIZE - 1)
-        old = page[offset]
-        page[offset] = tag & 0xFF
-        if old == 0 and tag:
-            self._tainted_byte_count += 1
-        elif old and tag == 0:
-            self._tainted_byte_count -= 1
+        """Set the tag of one byte to ``tag & 0xFF``; 0 clears."""
+        self.set_range(address, 1, tag)
 
     def set_range(self, address: int, length: int, tag: int) -> None:
         """Set every byte in the range to ``tag`` (bulk, per-page)."""
@@ -155,7 +134,7 @@ class ShadowMemory:
         cursor = address
         while remaining:
             number = cursor >> _PAGE_SHIFT
-            offset = cursor & (_PAGE_SIZE - 1)
+            offset = cursor & _OFFSET_MASK
             chunk = min(remaining, _PAGE_SIZE - offset)
             page = self._pages.get(number)
             if page is None:
@@ -174,7 +153,22 @@ class ShadowMemory:
             remaining -= chunk
 
     def set_tags(self, address: int, tags: bytes) -> None:
-        """Copy a vector of tags starting at ``address``."""
+        """Copy a vector of tags starting at ``address`` (in-page: a slice)."""
+        address &= _MASK32
+        offset = address & _OFFSET_MASK
+        length = len(tags)
+        if length <= _PAGE_SIZE - offset:
+            number = address >> _PAGE_SHIFT
+            page = self._pages.get(number)
+            new_tainted = length - tags.count(0)
+            if page is None:
+                if not new_tainted:
+                    return
+                page = self._pages[number] = bytearray(_PAGE_SIZE)
+            old_tainted = length - page.count(0, offset, offset + length)
+            page[offset : offset + length] = tags
+            self._tainted_byte_count += new_tainted - old_tainted
+            return
         for offset, tag in enumerate(tags):
             self.set((address + offset) & _MASK32, tag)
 
@@ -214,7 +208,9 @@ class TaintRegisterFile:
 
     def get(self, register: int) -> bytes:
         """The four tag bytes of ``register``."""
-        return bytes(self._tags[register])
+        if self._dirty >> register & 1:
+            return bytes(self._tags[register])
+        return _CLEAN_REGISTER
 
     def set(self, register: int, tags: bytes) -> None:
         """Replace the tag bytes of ``register``."""
@@ -235,7 +231,33 @@ class TaintRegisterFile:
 
     def clear(self, register: int) -> None:
         """Remove taint from ``register``."""
-        self.clear_registers((register,))
+        if self._dirty >> register & 1:
+            self._tags[register][:] = _CLEAN_REGISTER
+            self._dirty &= ~(1 << register)
+
+    def copy(self, register: int, source: int) -> bool:
+        """Give ``register`` the tags of ``source``; True if they are tainted."""
+        if self._dirty >> source & 1:
+            if register:
+                self._tags[register][:] = self._tags[source]
+                self._dirty |= 1 << register
+            return True
+        self.clear(register)
+        return False
+
+    def merge(self, register: int, first: int, second: int) -> bool:
+        """Give ``register`` the byte-wise union of two sources' tags; True
+        if either is tainted.  Only two tainted sources pay for a union."""
+        dirty = self._dirty
+        if not dirty >> second & 1 or first == second:
+            return self.copy(register, first)
+        if not dirty >> first & 1:
+            return self.copy(register, second)
+        if register:
+            tags = self._tags
+            tags[register][:] = bytes(map(max, tags[first], tags[second]))
+            self._dirty = dirty | 1 << register
+        return True
 
     def clear_registers(self, registers) -> None:
         """Remove taint from each of ``registers``.
@@ -243,14 +265,9 @@ class TaintRegisterFile:
         Only registers whose dirty bit is set are touched, so on a clean
         TRF this is one test and no work.
         """
-        dirty = self._dirty
-        if not dirty:
-            return
-        for register in registers:
-            if dirty >> register & 1:
-                self._tags[register][:] = _CLEAN_REGISTER
-                dirty &= ~(1 << register)
-        self._dirty = dirty
+        if self._dirty:
+            for register in registers:
+                self.clear(register)
 
     def is_tainted(self, register: int) -> bool:
         """True if any byte of ``register`` is tainted."""

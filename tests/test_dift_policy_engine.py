@@ -46,6 +46,17 @@ class TestPolicyDecisions:
         with pytest.raises(ValueError):
             TaintPolicy(taint_tag=0)
 
+    @pytest.mark.parametrize("tag", [256, 512, -1])
+    def test_tag_a_shadow_byte_cannot_hold_is_rejected(self, tag):
+        # A shadow byte keeps tag & 0xFF: 256 would taint nothing.
+        with pytest.raises(ValueError):
+            TaintPolicy(taint_tag=tag)
+
+    def test_largest_tag_accepted(self):
+        engine = DIFTEngine(TaintPolicy(taint_tag=255))
+        engine.on_input(make_input(data=b"ab", address=0x10))
+        assert engine.shadow.get_range(0x10, 2) == b"\xff\xff"
+
     def test_hardened_policy_protects_open(self):
         policy = hardened_policy()
         assert policy.check_syscall_args
@@ -79,6 +90,18 @@ class TestEngineInitialisation:
         assert engine.shadow.all_tainted(0x500, 3)
         engine.clear_region(0x500, 3)
         assert not engine.shadow.any_tainted(0x500, 3)
+
+    @pytest.mark.parametrize("tag", [0, 256])
+    def test_taint_region_rejects_bad_tag_before_mutating(self, tag):
+        engine = DIFTEngine()
+        engine.taint_region(0x500, 3)
+        writes = []
+        engine.add_tag_listener(lambda addr, tags: writes.append((addr, tags)))
+        with pytest.raises(ValueError):
+            engine.taint_region(0x500, 3, tag=tag)
+        # Tag 256 would have been stored as 0, silently clearing the bytes.
+        assert engine.shadow.get_range(0x500, 3) == b"\x01" * 3
+        assert writes == []
 
 
 class TestEndToEndDetection:

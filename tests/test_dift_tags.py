@@ -1,9 +1,39 @@
 """Shadow memory and taint register file tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dift.tags import ShadowMemory, TaintRegisterFile
+
+_MASK32 = 0xFFFFFFFF
+
+#: Addresses next to a page boundary or the top of the address space.
+_edge_addresses = st.one_of(
+    st.builds(
+        lambda base, delta: (base + delta) & _MASK32,
+        st.sampled_from((0x0, 0x1000, 0x2000)),
+        st.integers(min_value=-8, max_value=8),
+    ),
+    st.integers(min_value=0, max_value=0x2FFF),
+)
+_any_tag = st.integers(min_value=0, max_value=600)
+_shadow_operations = st.one_of(
+    st.builds(
+        lambda a, t: lambda s: s.set(a, t), _edge_addresses, _any_tag
+    ),
+    st.builds(
+        lambda a, n, t: lambda s: s.set_range(a, n, t),
+        _edge_addresses, st.integers(min_value=0, max_value=20), _any_tag,
+    ),
+    st.builds(
+        lambda a, tags: lambda s: s.set_tags(a, tags),
+        _edge_addresses, st.binary(max_size=9),
+    ),
+    st.builds(
+        lambda a, n: lambda s: s.clear_range(a, n),
+        _edge_addresses, st.integers(min_value=0, max_value=20),
+    ),
+)
 
 
 class TestShadowMemory:
@@ -142,6 +172,55 @@ class TestShadowMemory:
         assert shadow.tainted_byte_count == len(model)
         for address, tag in model.items():
             assert shadow.get(address) == tag
+
+    def test_set_masks_the_tag_before_counting(self):
+        shadow = ShadowMemory()
+        shadow.set(0x10, 256)  # stores 0: nothing became tainted
+        assert shadow.get(0x10) == 0
+        assert shadow.tainted_byte_count == 0
+        shadow.set(0x11, 1)
+        shadow.set(0x11, 512)  # clears the byte
+        assert shadow.get(0x11) == 0
+        assert shadow.tainted_byte_count == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_shadow_operations, max_size=40))
+    def test_count_equals_nonzero_shadow_bytes(self, operations):
+        """``tainted_byte_count`` is the number of non-zero shadow bytes
+        after any mix of writes, including tags >= 256 and ranges that
+        cross a page or wrap past 0xFFFFFFFF."""
+        shadow = ShadowMemory()
+        for operation in operations:
+            operation(shadow)
+        nonzero = sum(
+            len(page) - page.count(0) for page in shadow._pages.values()
+        )
+        assert shadow.tainted_byte_count == nonzero
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_edge_addresses, st.binary(min_size=0, max_size=9)),
+            max_size=20,
+        ),
+        _edge_addresses,
+        st.integers(min_value=-1, max_value=9),
+    )
+    def test_range_fast_paths_match_per_byte_model(self, writes, address, length):
+        """The in-page slice paths of ``set_tags``, ``get_range`` and
+        ``any_tainted`` agree with a dict of byte -> tag."""
+        shadow = ShadowMemory()
+        model = {}
+        for base, tags in writes:
+            shadow.set_tags(base, tags)
+            for offset, tag in enumerate(tags):
+                model[(base + offset) & _MASK32] = tag
+        expected = bytes(
+            model.get((address + i) & _MASK32, 0) for i in range(length)
+        )
+        assert shadow.get_range(address, length) == expected
+        assert shadow.any_tainted(address, length) == any(expected)
+        assert shadow.tainted_byte_count == sum(1 for t in model.values() if t)
 
 
 class TestTaintRegisterFile:
