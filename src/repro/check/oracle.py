@@ -20,9 +20,11 @@ after every committed instruction on the core-mirror and H-LATCH paths
 introduces it rather than at the end of the run.
 
 The ``stream`` path runs the program through the full
-:class:`repro.pipeline.StreamingPipeline` once per gating backend
-(scalar and vector), honouring any ``REPRO_PIPELINE_*`` environment
-knobs; with sampling inactive it must reproduce the reference
+:class:`repro.pipeline.StreamingPipeline` once per production gate
+cadence, honouring any ``REPRO_PIPELINE_*`` environment knobs:
+``stream-b1`` at ``gate_batch=1`` (the :class:`repro.platch.PLatchSystem`
+and served cadence) and ``stream`` with the environment's own gate
+batch.  With sampling inactive each run must reproduce the reference
 signature, and the coarse-vs-precise invariants must hold either way.
 
 The ``columnar`` path is the object-vs-columnar differential: the
@@ -317,21 +319,22 @@ def run_hlatch(cp: CheckProgram) -> CheckedHLatchMonitor:
 # ---------------------------------------------------------------- streaming
 
 
-def run_stream(cp: CheckProgram, backend: Optional[str] = None):
-    """Run ``cp`` under the streaming pipeline (one gating backend).
+def run_stream(cp: CheckProgram, gate_batch: Optional[int] = None):
+    """Run ``cp`` under the streaming pipeline.
 
     The configuration comes from :meth:`repro.pipeline.PipelineConfig.
     from_env`, so ``REPRO_PIPELINE_*`` knobs (queue shape, sampling)
     apply to oracle runs and corpus replays exactly as they would to a
     production run — a shrunk reproducer stays faithful under either
-    execution mode.
+    execution mode.  ``gate_batch``, when given, overrides the
+    environment's gate batch.
     """
     from repro.pipeline import StreamingPipeline
     from repro.pipeline.config import PipelineConfig
 
     config = PipelineConfig.from_env()
-    if backend is not None:
-        config = config.replace(backend=backend)
+    if gate_batch is not None:
+        config = config.replace(gate_batch=gate_batch)
     cpu = cp.make_cpu()
     pipeline = StreamingPipeline(cpu, latch_config=cp.config, config=config)
     _run(cpu)
@@ -646,21 +649,21 @@ def check_program(
         )
 
     if "stream" in paths:
-        for backend in ("scalar", "vector"):
-            pipeline = run_stream(cp, backend=backend)
+        for path, gate_batch in (("stream-b1", 1), ("stream", None)):
+            pipeline = run_stream(cp, gate_batch=gate_batch)
             report.runs += 1
             if not pipeline.sampler.active:
                 # Sampling deliberately trades coverage, so the final
                 # state may legitimately under-approximate the
                 # reference; the invariant check below still applies.
-                check_signature(pipeline.engine, f"stream-{backend}")
+                check_signature(pipeline.engine, path)
             try:
                 pipeline.latch.check_invariants(pipeline.engine.shadow)
             except InvariantViolation as violation:
                 report.violations.append(
                     SoundnessViolation(
                         kind="invariant",
-                        path=f"stream-{backend}",
+                        path=path,
                         detail=str(violation),
                         program=cp.name,
                     )

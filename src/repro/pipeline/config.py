@@ -26,15 +26,11 @@ DEFAULT_ANALYSIS_CYCLES = 4.38
 ENV_QUEUE_CAPACITY = "REPRO_PIPELINE_QUEUE_CAPACITY"
 ENV_DRAIN_BATCH = "REPRO_PIPELINE_DRAIN_BATCH"
 ENV_GATE_BATCH = "REPRO_PIPELINE_GATE_BATCH"
-ENV_BACKEND = "REPRO_PIPELINE_BACKEND"
 ENV_SAMPLE_RATE = "REPRO_PIPELINE_SAMPLE_RATE"
 ENV_SAMPLE_WINDOW = "REPRO_PIPELINE_SAMPLE_WINDOW"
 ENV_SAMPLE_SEED = "REPRO_PIPELINE_SAMPLE_SEED"
 ENV_MODEL_EPOCH = "REPRO_PIPELINE_MODEL_EPOCH"
 ENV_HIST_MODE = "REPRO_PIPELINE_HIST_MODE"
-
-#: Gating backends, in documentation order.
-BACKENDS = ("scalar", "vector")
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,11 @@ class PipelineConfig:
             immediate partial drain (the producer stall of Figure 11).
         drain_batch: events the monitor stage processes per automatic
             drain episode.
-        gate_batch: committed instructions gated per flush.  ``None``
-            resolves per backend: 1 for ``scalar`` (event-at-a-time,
-            the classic P-LATCH cadence) and 16 for ``vector``.  Every
+        gate_batch: committed instructions gated per flush.  Every
             verdict is live whatever the batch; the batch only sets
             how often the producer hands events to the gate.
-        backend: gating backend — ``"vector"`` (the default: TRF
-            dirty mask plus a live CTT probe per access) or
-            ``"scalar"`` (``check_step`` through the CTC/TLB cost
-            model, as :class:`repro.platch.PLatchSystem` and served
-            sessions use).  Both make identical admission decisions.
+            :class:`repro.platch.PLatchSystem` and served sessions use
+            1, the classic event-at-a-time P-LATCH cadence.
         sampling: the selective-tracing dial.
         analysis_cycles_per_event: monitor cost per queued event for
             the stall model (default: LBA-simple, 4.38 cycles).
@@ -106,8 +97,7 @@ class PipelineConfig:
 
     queue_capacity: int = 256
     drain_batch: int = 64
-    gate_batch: Optional[int] = None
-    backend: str = "vector"
+    gate_batch: int = 16
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     analysis_cycles_per_event: float = DEFAULT_ANALYSIS_CYCLES
     model_epoch: int = 1000
@@ -118,12 +108,8 @@ class PipelineConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.drain_batch < 1:
             raise ValueError("drain_batch must be >= 1")
-        if self.gate_batch is not None and self.gate_batch < 1:
-            raise ValueError("gate_batch must be >= 1 (or None)")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
+        if self.gate_batch < 1:
+            raise ValueError("gate_batch must be >= 1")
         if self.analysis_cycles_per_event <= 0:
             raise ValueError("analysis_cycles_per_event must be positive")
         if self.model_epoch < 1:
@@ -136,14 +122,7 @@ class PipelineConfig:
                 f"got {self.hist_mode!r}"
             )
 
-    # ------------------------------------------------------------ resolved
-
-    @property
-    def resolved_gate_batch(self) -> int:
-        """The concrete gate batch (backend-dependent default)."""
-        if self.gate_batch is not None:
-            return self.gate_batch
-        return 1 if self.backend == "scalar" else 16
+    # ------------------------------------------------------------- derived
 
     @property
     def pending_capacity(self) -> int:
@@ -156,7 +135,7 @@ class PipelineConfig:
         """
         return max(
             4 * self.queue_capacity,
-            self.queue_capacity + 2 * self.resolved_gate_batch + 8,
+            self.queue_capacity + 2 * self.gate_batch + 8,
         )
 
     def lba_parameters(self):
@@ -204,9 +183,6 @@ class PipelineConfig:
             parsed = reader(var)
             if parsed is not None:
                 values[key] = parsed
-        backend = env.get(ENV_BACKEND)
-        if backend:
-            values["backend"] = backend
         hist_mode = env.get(ENV_HIST_MODE)
         if hist_mode:
             values["hist_mode"] = hist_mode

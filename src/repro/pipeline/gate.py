@@ -11,19 +11,18 @@ An instruction must reach the precise monitor iff any of:
 
 Every verdict is computed live, at admission time, against the current
 TRF and CTT, so a coarse tag write made by a drain earlier in the same
-batch is seen by the very next admission.  Two backends compute the
-memory-operand verdict:
+batch is seen by the very next admission.  Registers are tested on the
+TRF dirty mask, and each memory access is a direct CTT probe
+(:meth:`repro.core.ctt.CoarseTaintTable.any_domain_tainted`).
 
-* ``scalar`` — :meth:`repro.core.latch.LatchModule.check_step` per
-  event, driving the CTC/TLB cost model exactly as the hardware would;
-* ``vector`` — the TRF dirty mask, then a direct CTT probe per memory
-  access (:meth:`repro.core.ctt.CoarseTaintTable.any_domain_tainted`),
-  leaving the CTC/TLB untouched.
-
-Under the pipeline's immediate-clear discipline the CTC always resolves
-to the CTT bit and the TLB screen is a conservative refinement of it,
-so both backends make the *same admission decisions* at every queue
-and batch shape; they differ only in CTC/TLB cost accounting.
+The CTC and TLB are not consulted.  In the paper they are hardware
+structures whose cost never changes a verdict: under the pipeline's
+immediate-clear discipline the CTC always resolves to the CTT bit and
+the TLB screen is a conservative refinement of it, so
+:meth:`repro.core.latch.LatchModule.check_step` would make the same
+admission decisions at every queue and batch shape.  The gate therefore
+leaves the ``latch.*`` check-path counters at zero; the CTC and TLB
+count only the tag-update traffic the monitor writes back.
 """
 
 from __future__ import annotations
@@ -52,39 +51,24 @@ class GateStats:
 class LatchGate:
     """Stage 2 of the pipeline: coarse classification of step events."""
 
-    def __init__(self, latch, pending, backend: str) -> None:
+    def __init__(self, latch, pending) -> None:
         self.latch = latch
         self.pending = pending
-        self.backend = backend
         self.stats = GateStats()
-        self._cost_model = backend != "vector"
 
     def admit(self, event: StepEvent) -> bool:
         """Decide one step event; updates the per-reason accounting."""
         self.stats.steps += 1
         trf = self.latch.trf
-        accesses = event.memory_accesses
-        if self._cost_model:
-            check = self.latch.check_step(event)
-            register_hit = check.register_tainted
-            # Without a register hit the step's coarse verdict is its
-            # memory verdict.
-            memory_hit = check.coarse_tainted
-        else:
-            register_hit = trf.any_tainted(event.regs_read)
-            memory_hit = False
-            if not register_hit:
-                ctt = self.latch.ctt
-                for access in accesses:
-                    if ctt.any_domain_tainted(access.address, access.size):
-                        memory_hit = True
-                        break
-        if register_hit:
+        if trf.any_tainted(event.regs_read):
             self.stats.register_hits += 1
             return True
-        if memory_hit:
-            self.stats.memory_hits += 1
-            return True
+        accesses = event.memory_accesses
+        ctt = self.latch.ctt
+        for access in accesses:
+            if ctt.any_domain_tainted(access.address, access.size):
+                self.stats.memory_hits += 1
+                return True
         for access in accesses:
             if self.pending.covers(access.address, access.size):
                 self.stats.pending_hits += 1

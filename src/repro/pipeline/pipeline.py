@@ -9,10 +9,10 @@ into stages that each do one thing:
    the queue as ordered control events, so the asynchronous consumer
    replays sources, sinks, and stores in exact commit order.
 2. **Gate** — :class:`repro.pipeline.gate.LatchGate` runs the coarse
-   LATCH classification live, against the current TRF and CTT (scalar
-   ``check_step`` or a direct CTT probe), plus the pending-update
-   guard; provably taint-free instructions are suppressed here and
-   never reach the queue.
+   LATCH classification live, against the TRF dirty mask and a direct
+   CTT probe per memory access, plus the pending-update guard;
+   provably taint-free instructions are suppressed here and never
+   reach the queue.
 3. **Sample** — an optional :class:`WindowSampler` drops whole windows
    of would-be-monitored events (the HardTaint coverage/overhead dial).
 4. **Queue** — a :class:`BoundedEventQueue` with real backpressure: a
@@ -90,7 +90,7 @@ class StreamingPipeline(Observer):
             a remote trace replays bit-identically to a local run.
         policy: DIFT policy for the monitor core.
         latch_config: LATCH structural parameters.
-        config: pipeline shape (queue, batching, backend, sampling).
+        config: pipeline shape (queue, batching, sampling).
         registry: obs registry to publish into (one is created if
             omitted); the queue-occupancy histogram records into it
             during the run.
@@ -110,11 +110,7 @@ class StreamingPipeline(Observer):
     ) -> None:
         from repro.platch.pending import PendingUpdateTracker
 
-        config = config if config is not None else PipelineConfig()
-        # Resolve the gate batch once: the per-step path reads plain
-        # attributes.
-        self.config = config.replace(gate_batch=config.resolved_gate_batch)
-        self.backend: str = self.config.backend
+        self.config = config if config is not None else PipelineConfig()
         self.gate_batch: int = self.config.gate_batch
         self.cpu = cpu
         self.engine = DIFTEngine(policy)
@@ -124,9 +120,7 @@ class StreamingPipeline(Observer):
             capacity=self.config.pending_capacity
         )
         self.sampler = WindowSampler(self.config.sampling)
-        self.gate = LatchGate(
-            self.latch, self.pending, backend=self.backend
-        )
+        self.gate = LatchGate(self.latch, self.pending)
         self.model = StallModel(
             self.config.analysis_cycles_per_event,
             self.config.queue_capacity,
@@ -208,7 +202,7 @@ class StreamingPipeline(Observer):
         # entries retired by a mid-batch drain wait until the batch ends
         # (or until a full pending FIFO forces them out).  It fixes *when*
         # entries retire within a batch, and so the pending-hit
-        # accounting, the same way for both backends.
+        # accounting.
         self._defer_retires = len(events) > 1
         try:
             for event in events:
@@ -274,7 +268,7 @@ class StreamingPipeline(Observer):
 
         Draining an empty queue is a *true* no-op: no TRF resync, no
         occupancy sample, no metric movement.  That makes repeated
-        ``finish()`` calls idempotent under both gate backends — the
+        ``finish()`` calls idempotent at every gate batch — the
         multi-tenant disconnect path drains once when the client
         vanishes and again at teardown without skewing per-tenant
         metrics or state.
@@ -330,9 +324,7 @@ class StreamingPipeline(Observer):
                 "on_step/on_input/on_output instead"
             )
         with maybe_span(
-            "pipeline.run",
-            backend=self.backend,
-            queue_capacity=self.config.queue_capacity,
+            "pipeline.run", queue_capacity=self.config.queue_capacity
         ):
             executed = self.cpu.run(max_steps)
             self.finish()
@@ -358,7 +350,6 @@ class StreamingPipeline(Observer):
 
         with maybe_span(
             "pipeline.replay_trace",
-            backend=self.backend,
             queue_capacity=self.config.queue_capacity,
         ):
             return replay_events(source, self)

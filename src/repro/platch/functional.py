@@ -8,15 +8,15 @@ DIFT, with real backpressure, stall accounting, and a sampling dial —
 and this module keeps the long-standing whole-run API as a thin wrapper
 configured for the classic cadence:
 
-* scalar gating backend (``check_step`` per event, driving the CTC/TLB
-  cost model at admission time);
 * event-at-a-time gate batches (``gate_batch=1``);
 * sampling disabled.
 
-Under that configuration the wrapper reproduces the original
-event-at-a-time P-LATCH loop decision for decision, so the long-standing
+The gate is the pipeline's one gate path (TRF dirty mask plus a live
+CTT probe), whose admission decisions equal the event-at-a-time
+``check_step`` loop's decision for decision, so the long-standing
 differential tests in ``tests/test_platch_functional.py`` pin the
-pipeline to the seed behaviour.  See docs/PIPELINE.md for the pipeline
+pipeline to the seed behaviour.  Like the paper's analytic P-LATCH, the
+wrapper does not charge CTC/TLB probe costs on the gate path.  See docs/PIPELINE.md for the pipeline
 architecture and the knobs the wrapper deliberately does not expose.
 """
 
@@ -78,7 +78,6 @@ class PLatchSystem(StreamingPipeline):
                 queue_capacity=queue_capacity,
                 drain_batch=drain_batch,
                 gate_batch=1,
-                backend="scalar",
                 sampling=SamplingConfig(),
             ),
         )

@@ -42,57 +42,70 @@ from repro.serve.protocol import (
 MAX_JOB_STEPS = 2_000_000
 
 
+def _knob_overrides(overrides, what: str) -> Dict:
+    """The request's override dict for ``what`` (``None`` means empty)."""
+    if overrides is None:
+        return {}
+    if not isinstance(overrides, dict):
+        raise ProtocolError(f"{what} overrides must be an object")
+    return overrides
+
+
 def pipeline_config_from_wire(overrides: Optional[Dict]) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from a request's override dict.
 
-    Only whitelisted structural knobs are honoured; anything else is a
-    protocol error (clients must not smuggle arbitrary kwargs).  The
-    default is the classic P-LATCH cadence — scalar gate, batch 1 —
-    which is exactly :class:`repro.platch.PLatchSystem`'s shape, so an
-    unconfigured served check is bit-comparable to the local wrapper.
+    Only whitelisted structural knobs are honoured; anything else,
+    including a value that does not convert or a config the pipeline
+    rejects, is a protocol error (clients must not smuggle arbitrary
+    kwargs).  The default cadence is batch 1, exactly
+    :class:`repro.platch.PLatchSystem`'s shape, so an unconfigured
+    served check is bit-comparable to the local wrapper.
     """
+    overrides = _knob_overrides(overrides, "pipeline")
     # Served pipelines default to bounded histograms: sessions are
     # long-lived, so per-sample occupancy storage would grow without
     # bound (clients can still ask for "exact" explicitly).
-    values: Dict = {"gate_batch": 1, "backend": "scalar",
-                    "hist_mode": "bounded"}
+    values: Dict = {"gate_batch": 1, "hist_mode": "bounded"}
     sampling: Dict = {}
-    for key, value in (overrides or {}).items():
-        if key in ("queue_capacity", "drain_batch", "gate_batch",
-                   "model_epoch"):
-            values[key] = int(value)
-        elif key in ("backend", "hist_mode"):
-            values[key] = str(value)
-        elif key in ("sample_rate",):
-            sampling["rate"] = float(value)
-        elif key in ("sample_window",):
-            sampling["window"] = int(value)
-        elif key in ("sample_seed",):
-            sampling["seed"] = int(value)
-        else:
-            raise ProtocolError(f"unknown pipeline knob: {key!r}")
-    if sampling:
-        values["sampling"] = SamplingConfig(**sampling)
     try:
+        for key, value in overrides.items():
+            if key in ("queue_capacity", "drain_batch", "gate_batch",
+                       "model_epoch"):
+                values[key] = int(value)
+            elif key == "hist_mode":
+                values[key] = str(value)
+            elif key == "sample_rate":
+                sampling["rate"] = float(value)
+            elif key == "sample_window":
+                sampling["window"] = int(value)
+            elif key == "sample_seed":
+                sampling["seed"] = int(value)
+            else:
+                raise ProtocolError(f"unknown pipeline knob: {key!r}")
+        if sampling:
+            values["sampling"] = SamplingConfig(**sampling)
         return PipelineConfig(**values)
-    except ValueError as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ProtocolError(f"bad pipeline config: {error}") from error
 
 
 def latch_config_from_wire(overrides: Optional[Dict]) -> LatchConfig:
     """Build a :class:`LatchConfig` from a request's override dict."""
+    overrides = _knob_overrides(overrides, "latch")
     allowed = {
         "domain_size", "page_size", "ctc_entries", "tlb_entries",
         "use_tlb_bits", "ctc_miss_penalty_cycles",
     }
     values: Dict = {}
-    for key, value in (overrides or {}).items():
-        if key not in allowed:
-            raise ProtocolError(f"unknown latch knob: {key!r}")
-        values[key] = bool(value) if key == "use_tlb_bits" else int(value)
     try:
+        for key, value in overrides.items():
+            if key not in allowed:
+                raise ProtocolError(f"unknown latch knob: {key!r}")
+            values[key] = (
+                bool(value) if key == "use_tlb_bits" else int(value)
+            )
         return LatchConfig(**values)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ProtocolError(f"bad latch config: {error}") from error
 
 
@@ -275,19 +288,20 @@ class JobRunner:
         except Exception as error:
             raise ProtocolError(f"assembly failed: {error}") from error
         devices = DeviceTable()
-        for entry in job.get("files", ()):
-            try:
+        try:
+            for entry in job.get("files", ()):
                 devices.register_file(VirtualFile(
                     name=str(entry["name"]),
                     data=base64.b64decode(str(entry["data"])),
                     tainted=bool(entry.get("tainted", True)),
                 ))
-            except ProtocolError:
-                raise
-            except Exception as error:
-                raise ProtocolError(f"bad job file: {error}") from error
-        max_steps = min(int(job.get("max_steps", MAX_JOB_STEPS)),
-                        MAX_JOB_STEPS)
+        except Exception as error:
+            raise ProtocolError(f"bad job file: {error}") from error
+        try:
+            max_steps = min(int(job.get("max_steps", MAX_JOB_STEPS)),
+                            MAX_JOB_STEPS)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ProtocolError(f"bad max_steps: {error}") from error
         cpu = CPU(program, devices=devices)
         pipeline = StreamingPipeline(
             cpu,

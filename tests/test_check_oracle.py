@@ -110,13 +110,24 @@ class TestCorpusRoundTrip:
 
 
 class TestStreamPath:
-    def test_stream_path_runs_both_backends(self):
-        from repro.check.oracle import ALL_PATHS
+    def test_stream_path_runs_both_cadences(self, monkeypatch):
+        from repro.check import oracle
 
-        assert "stream" in ALL_PATHS
+        assert "stream" in oracle.ALL_PATHS
+        batches = []
+        run_stream = oracle.run_stream
+
+        def recording_run_stream(cp, gate_batch=None):
+            pipeline = run_stream(cp, gate_batch=gate_batch)
+            batches.append(pipeline.gate_batch)
+            return pipeline
+
+        monkeypatch.setattr(oracle, "run_stream", recording_run_stream)
         report = check_program(generate_program(2), paths=("stream",))
         assert report.ok, "\n".join(str(v) for v in report.violations)
-        assert report.runs == 3  # reference + scalar + vector
+        assert report.runs == 3  # reference + stream-b1 + stream
+        # Batch 1 is the PLatchSystem and served cadence; 16 the default.
+        assert batches == [1, 16]
 
     def test_env_knobs_reach_the_stream_runs(self, monkeypatch):
         from repro.check.oracle import run_stream
@@ -124,7 +135,7 @@ class TestStreamPath:
         monkeypatch.setenv("REPRO_PIPELINE_QUEUE_CAPACITY", "4")
         monkeypatch.setenv("REPRO_PIPELINE_DRAIN_BATCH", "64")
         monkeypatch.setenv("REPRO_PIPELINE_MODEL_EPOCH", "1")
-        pipeline = run_stream(generate_program(2), backend="scalar")
+        pipeline = run_stream(generate_program(2), gate_batch=1)
         assert pipeline.config.queue_capacity == 4
         assert pipeline.config.drain_batch == 64
         # Exact replay still holds under oracle-driven runs.
@@ -152,7 +163,7 @@ class TestStreamPath:
             stream_obs=registry,
         )
         snapshot = registry.snapshot()
-        assert snapshot.get("pipeline.runs") == 4  # 2 programs x 2 backends
+        assert snapshot.get("pipeline.runs") == 4  # 2 programs x 2 cadences
         assert snapshot.get("pipeline.instructions") > 0
         assert "pipeline.queue.stall_cycles" in snapshot
         assert "pipeline.model.predicted_stall_cycles" in snapshot

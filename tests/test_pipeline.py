@@ -2,7 +2,10 @@
 
 The acceptance bar for ``repro.pipeline``: the streaming path must end
 with a final taint state *byte-identical* to an always-on DIFT tracker,
-for every scenario, both gating backends, and adversarial queue shapes.
+for every scenario and adversarial queue shapes.  Each case runs under
+the production gate (``vector``) and under the test-only ``check_step``
+gate of ``tests/gate_reference.py`` (``scalar``), and the two must make
+the same admission decisions.
 """
 
 import dataclasses
@@ -14,11 +17,15 @@ from repro.check.oracle import state_signature
 from repro.dift.engine import DIFTEngine
 from repro.dift.policy import leak_detection_policy
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Instruction, Opcode
 from repro.machine.cpu import CPU
 from repro.machine.devices import DeviceTable, VirtualFile
+from repro.machine.events import InputEvent, MemoryAccess, StepEvent
 from repro.pipeline import PipelineConfig, StreamingPipeline
+from repro.pipeline.gate import LatchGate
 from repro.platch.functional import PLatchSystem
 from repro.workloads import attacks, programs
+from tests.gate_reference import GATES, with_gate
 
 SCENARIOS = [
     ("file-filter", lambda: programs.file_filter(), None),
@@ -31,11 +38,9 @@ SCENARIOS = [
     ("leak", lambda: attacks.data_leak(leak=True), leak_detection_policy),
 ]
 
-BACKENDS = ["scalar", "vector"]
-
 #: (queue_capacity, gate_batch) shapes that stress distinct regimes:
-#: deep queue + backend-default batching, shallow queue + small batches,
-#: and a queue *smaller* than the gate batch (mid-batch drains).
+#: deep queue + default batching (``None``), shallow queue + small
+#: batches, and a queue *smaller* than the gate batch (mid-batch drains).
 QUEUE_SHAPES = [(256, None), (8, 4), (4, 32)]
 
 
@@ -52,15 +57,19 @@ def run_reference(build, policy_factory):
 
 
 def run_pipeline(build, policy_factory=None, latch_config=None,
-                 **config_kwargs):
+                 gate="vector", **config_kwargs):
+    """Run a scenario under ``gate``; ``None`` knobs keep the default."""
     scenario = build()
     cpu = scenario.make_cpu()
-    pipeline = StreamingPipeline(
+    pipeline = with_gate(StreamingPipeline(
         cpu,
         policy=policy_factory() if policy_factory else None,
         latch_config=latch_config,
-        config=PipelineConfig(**config_kwargs),
-    )
+        config=PipelineConfig(**{
+            key: value for key, value in config_kwargs.items()
+            if value is not None
+        }),
+    ), gate)
     try:
         cpu.run(300_000)
     except Exception:
@@ -79,10 +88,10 @@ def signature(engine):
 @pytest.mark.parametrize(
     "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", GATES)
 def test_streaming_matches_always_on_reference(name, build, policy, backend):
     reference = run_reference(build, policy)
-    pipeline = run_pipeline(build, policy, backend=backend)
+    pipeline = run_pipeline(build, policy, gate=backend)
     assert signature(pipeline.engine) == signature(reference)
 
 
@@ -91,7 +100,7 @@ def test_streaming_matches_always_on_reference(name, build, policy, backend):
     [SCENARIOS[0], SCENARIOS[3], SCENARIOS[5]],
     ids=["file-filter", "echo", "overflow"],
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", GATES)
 @pytest.mark.parametrize(
     "queue_capacity,gate_batch", QUEUE_SHAPES,
     ids=[f"q{q}b{b}" for q, b in QUEUE_SHAPES],
@@ -102,16 +111,16 @@ def test_queue_shapes_stay_lossless(
     reference = run_reference(build, policy)
     pipeline = run_pipeline(
         build, policy,
-        backend=backend,
+        gate=backend,
         queue_capacity=queue_capacity,
         gate_batch=gate_batch,
     )
     assert signature(pipeline.engine) == signature(reference)
 
 
-#: (queue_capacity, drain_batch, gate_batch) shapes for the backend
-#: agreement grid: the default vector shape, then tight queues with
-#: gate batches smaller, larger and much larger than the queue.
+#: (queue_capacity, drain_batch, gate_batch) shapes for the gate
+#: agreement grid: the default shape, then tight queues with gate
+#: batches smaller, larger and much larger than the queue.
 AGREEMENT_SHAPES = [
     (256, 64, 16), (4, 2, 3), (8, 4, 32), (2, 1, 64), (16, 16, 8),
 ]
@@ -130,19 +139,19 @@ def admission_record(pipeline):
     )
 
 
-def backend_records(build, shape, policy=None, latch_config=None):
-    """``admission_record`` of a scalar and a vector run at ``shape``."""
+def gate_records(build, shape, policy=None, latch_config=None):
+    """``admission_record`` of a reference and a production run."""
     queue_capacity, drain_batch, gate_batch = shape
     return [
         admission_record(run_pipeline(
             build, policy,
             latch_config=latch_config,
-            backend=backend,
+            gate=gate,
             queue_capacity=queue_capacity,
             drain_batch=drain_batch,
             gate_batch=gate_batch,
         ))
-        for backend in BACKENDS
+        for gate in GATES
     ]
 
 
@@ -150,10 +159,10 @@ def backend_records(build, shape, policy=None, latch_config=None):
     "name,build,policy", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
 def test_backends_make_identical_admission_decisions(name, build, policy):
-    """Scalar and vector gating agree event-for-event at every shape."""
+    """The gate and ``check_step`` agree event-for-event at every shape."""
     for shape in AGREEMENT_SHAPES:
-        scalar, vector = backend_records(build, shape, policy)
-        assert scalar == vector, shape
+        reference, production = gate_records(build, shape, policy)
+        assert reference == production, shape
 
 
 @pytest.mark.parametrize(
@@ -164,15 +173,15 @@ def test_backends_agree_on_generated_corpus(shape):
     """Equal counters, stall cycles and state over generated programs.
 
     At tight shapes a drain inside a gate batch sets and clears CTT
-    bits between two admissions of that batch; a vector verdict that
-    lagged the CTT would count differently from ``check_step`` here.
+    bits between two admissions of that batch; a verdict that lagged
+    the CTT would count differently from ``check_step`` here.
     """
     for seed in AGREEMENT_SEEDS:
         cp = generate_program(seed)
-        scalar, vector = backend_records(
+        reference, production = gate_records(
             lambda: cp, shape, latch_config=cp.config
         )
-        assert scalar == vector, cp.name
+        assert reference == production, cp.name
 
 
 def test_gate_suppresses_the_clean_majority():
@@ -209,7 +218,7 @@ _start:
 """
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", GATES)
 def test_mid_batch_tag_write_seen_by_next_admission(backend):
     """A coarse tag write made by a drain inside a batch is live at once.
 
@@ -222,9 +231,9 @@ def test_mid_batch_tag_write_seen_by_next_admission(backend):
     devices = DeviceTable()
     devices.register_file(VirtualFile("t.txt", b"TTTT", tainted=True))
     cpu = CPU(assemble(MID_BATCH_PROGRAM), devices=devices)
-    pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-        queue_capacity=8, drain_batch=1, gate_batch=64, backend=backend,
-    ))
+    pipeline = with_gate(StreamingPipeline(cpu, config=PipelineConfig(
+        queue_capacity=8, drain_batch=1, gate_batch=64,
+    )), backend)
     gate = pipeline.gate
     decisions = {}
     admit = gate.admit
@@ -249,8 +258,66 @@ def test_mid_batch_tag_write_seen_by_next_admission(backend):
     assert 0x9000 in set(pipeline.engine.shadow.iter_tainted_bytes())
 
 
+#: Reads 4 tainted bytes to 0x9040, the first byte of a 64-byte domain,
+#: then loads a word at 0x903e: the load's first domain is clean and
+#: only its second one is tainted.  Its address register is clean and
+#: no queued store covers it.
+STRADDLE_PROGRAM = """
+.data
+path:   .asciiz "t.txt"
+.text
+_start:
+    li   r3, 3
+    li   r4, path
+    syscall
+    mv   r4, r3
+    li   r3, 1
+    li   r5, 0x9040
+    li   r6, 4
+    syscall
+    li   r8, 0x903e
+    lw   r9, 0(r8)
+    halt
+"""
+
+
+@pytest.mark.parametrize("backend", GATES)
+def test_straddling_access_probes_every_domain_it_touches(backend):
+    """A load is admitted when only its last domain is tainted."""
+    devices = DeviceTable()
+    devices.register_file(VirtualFile("t.txt", b"TTTT", tainted=True))
+    cpu = CPU(assemble(STRADDLE_PROGRAM), devices=devices)
+    pipeline = with_gate(StreamingPipeline(cpu), backend)
+    cpu.run(1_000)
+    pipeline.finish()
+    assert pipeline.gate.stats.memory_hits == 1
+    assert pipeline.engine.trf.any_tainted((9,))
+
+
+@pytest.mark.parametrize("backend", GATES)
+def test_gate_probes_every_access_of_a_step(backend):
+    """A step may carry several accesses (the wire allows it): all count.
+
+    Only the second read hits the tainted domain; the step must still
+    be admitted on a memory hit.
+    """
+    pipeline = with_gate(StreamingPipeline(None), backend)
+    pipeline.on_input(InputEvent(
+        step_index=0, address=0x9040, data=b"TTTT",
+        source_kind="file", source_name="t.txt",
+    ))
+    event = StepEvent(
+        index=1, pc=0, instruction=Instruction(Opcode.LW, rd=9, rs1=8),
+        regs_read=(8,), regs_written=(9,),
+        reads=(MemoryAccess(0x100, 4, is_write=False),
+               MemoryAccess(0x9040, 4, is_write=False)),
+    )
+    assert pipeline.gate.admit(event)
+    assert pipeline.gate.stats.memory_hits == 1
+
+
 def test_wrapper_is_bit_identical_to_raw_pipeline():
-    """PLatchSystem == StreamingPipeline(scalar, gate_batch=1) exactly."""
+    """PLatchSystem == StreamingPipeline(gate_batch=1) exactly."""
     build = lambda: programs.echo_server()
     wrapped_cpu = build().make_cpu()
     wrapped = PLatchSystem(wrapped_cpu, queue_capacity=32, drain_batch=8)
@@ -258,8 +325,7 @@ def test_wrapper_is_bit_identical_to_raw_pipeline():
     wrapped.drain_all()
 
     pipeline = run_pipeline(
-        build, None,
-        queue_capacity=32, drain_batch=8, gate_batch=1, backend="scalar",
+        build, None, queue_capacity=32, drain_batch=8, gate_batch=1,
     )
     assert signature(wrapped.engine) == signature(pipeline.engine)
     assert wrapped.stats.enqueued == pipeline.stats.enqueued
@@ -267,6 +333,35 @@ def test_wrapper_is_bit_identical_to_raw_pipeline():
     counters = wrapped.counters
     assert counters.enqueued == pipeline.stats.enqueued
     assert counters.drained == pipeline.stats.drained
+
+
+@pytest.mark.parametrize(
+    "shape", AGREEMENT_SHAPES,
+    ids=[f"q{q}d{d}" for q, d, _ in AGREEMENT_SHAPES],
+)
+def test_wrapper_matches_the_reference_gate_on_generated_corpus(shape):
+    """PLatchSystem at batch 1 == the ``check_step`` gate at batch 1."""
+    queue_capacity, drain_batch, _ = shape
+    for seed in AGREEMENT_SEEDS:
+        cp = generate_program(seed)
+        cpu = cp.make_cpu()
+        wrapped = PLatchSystem(
+            cpu, latch_config=cp.config,
+            queue_capacity=queue_capacity, drain_batch=drain_batch,
+        )
+        try:
+            cpu.run(300_000)
+        except Exception:
+            pass
+        wrapped.finish()
+        reference = run_pipeline(
+            lambda: cp, latch_config=cp.config, gate="scalar",
+            queue_capacity=queue_capacity, drain_batch=drain_batch,
+            gate_batch=1,
+        )
+        assert admission_record(wrapped) == admission_record(reference), (
+            cp.name
+        )
 
 
 def test_publish_metrics_exposes_pipeline_series():
@@ -286,13 +381,28 @@ def test_publish_metrics_exposes_pipeline_series():
 
 
 def test_default_pipeline_is_vector_with_gate_batch_16():
+    """The one production gate, at the default batch of 16."""
     pipeline = StreamingPipeline(programs.phased_compute().make_cpu())
-    assert (pipeline.backend, pipeline.gate_batch) == ("vector", 16)
-    assert pipeline.gate.backend == "vector"
+    assert pipeline.gate_batch == 16
+    assert type(pipeline.gate) is LatchGate
     assert pipeline.config == PipelineConfig(gate_batch=16)
 
 
 @pytest.mark.parametrize("backend", ["gpu", "auto", None, "Vector"])
 def test_unknown_backend_rejected_at_construction(backend):
-    with pytest.raises(ValueError, match="backend must be one of"):
+    """The retired ``backend`` field is no config knob, whatever its value."""
+    with pytest.raises(TypeError, match="backend"):
         PipelineConfig(backend=backend)
+
+
+def test_production_code_never_imports_the_gate_reference():
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    assert [
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if "gate_reference" in path.read_text()
+    ] == []

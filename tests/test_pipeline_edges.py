@@ -17,6 +17,7 @@ from repro.platch.functional import PLatchSystem
 from repro.platch.pending import PendingUpdateTracker
 from repro.workloads import programs
 
+from tests.gate_reference import GATES, with_gate
 from tests.test_pipeline import run_pipeline, run_reference, signature
 
 #: A taint source mid-stream: 8 tainted bytes land in ``buf``, a clean
@@ -121,7 +122,7 @@ class TestZeroEventPrograms:
 
 
 class TestMidStreamTaintSources:
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("backend", GATES)
     def test_ordering_with_lazy_drain(self, backend):
         """Drains happen only at halt, yet ordering is preserved."""
         reference_cpu = _midstream_cpu()
@@ -130,9 +131,9 @@ class TestMidStreamTaintSources:
         reference_cpu.run(10_000)
 
         cpu = _midstream_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
-            queue_capacity=256, drain_batch=10_000, backend=backend,
-        ))
+        pipeline = with_gate(StreamingPipeline(cpu, config=PipelineConfig(
+            queue_capacity=256, drain_batch=10_000,
+        )), backend)
         cpu.run(10_000)
         pipeline.finish()
         assert signature(pipeline.engine) == signature(reference)
@@ -163,7 +164,6 @@ class TestPendingFallback:
         cpu = scenario.make_cpu()
         pipeline = StreamingPipeline(cpu, config=PipelineConfig(
             queue_capacity=256, drain_batch=10_000, gate_batch=32,
-            backend="vector",
         ))
         tiny = PendingUpdateTracker(capacity=2)
         pipeline.pending = tiny
@@ -199,15 +199,14 @@ class TestIdempotentTeardown:
     empty drain logged a phantom occupancy sample and TRF resync).
     """
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("backend", GATES)
     def test_double_finish_is_a_true_noop(self, backend):
         from repro.obs import MetricsRegistry
 
         cpu = programs.file_filter().make_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
+        pipeline = with_gate(StreamingPipeline(cpu, config=PipelineConfig(
             gate_batch=1 if backend == "scalar" else 32,
-            backend=backend,
-        ))
+        )), backend)
         cpu.run(300_000)
         pipeline.finish()
 
@@ -228,13 +227,12 @@ class TestIdempotentTeardown:
         pipeline.finish()
         assert state() == before
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("backend", GATES)
     def test_empty_drain_records_no_occupancy_sample(self, backend):
         cpu = programs.checksum().make_cpu()
-        pipeline = StreamingPipeline(cpu, config=PipelineConfig(
+        pipeline = with_gate(StreamingPipeline(cpu, config=PipelineConfig(
             gate_batch=1 if backend == "scalar" else 32,
-            backend=backend,
-        ))
+        )), backend)
         cpu.run(300_000)
         pipeline.finish()
         samples = len(pipeline._queue_instruments.occupancy.values())
@@ -291,7 +289,7 @@ class TestDetachedPipeline:
         )
 
         detached = StreamingPipeline(cpu=None, config=PipelineConfig(
-            gate_batch=1, backend="scalar",
+            gate_batch=1,
         ))
         for kind, payload in recorded:
             if kind == "step":

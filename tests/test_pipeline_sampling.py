@@ -17,16 +17,18 @@ import pytest
 from repro.pipeline import PipelineConfig, SamplingConfig, StreamingPipeline
 from repro.workloads import programs
 
+from tests.gate_reference import GATES, with_gate
 from tests.test_pipeline import run_pipeline, run_reference, signature
 
 
-def run_sampled(build, rate, window=32, seed=0, **config_kwargs):
+def run_sampled(build, rate, window=32, seed=0, gate="vector",
+                **config_kwargs):
     scenario = build()
     cpu = scenario.make_cpu()
-    pipeline = StreamingPipeline(cpu, config=PipelineConfig(
+    pipeline = with_gate(StreamingPipeline(cpu, config=PipelineConfig(
         sampling=SamplingConfig(rate=rate, window=window, seed=seed),
         **config_kwargs,
-    ))
+    )), gate)
     cpu.run(300_000)
     pipeline.finish()
     return pipeline
@@ -58,15 +60,14 @@ class TestFullRate:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("backend", GATES)
     def test_fixed_seed_replays_identical_coverage(self, backend):
         first = run_sampled(
             lambda: programs.echo_server(), rate=0.3, window=32, seed=9,
-            backend=backend,
+            gate=backend,
         )
         second = run_sampled(
             lambda: programs.echo_server(), rate=0.3, window=32, seed=9,
-            backend=backend,
         )
         assert first.stats.enqueued == second.stats.enqueued
         assert first.stats.sampled_out == second.stats.sampled_out

@@ -297,6 +297,59 @@ class TestOverload:
                 stream, retries = client.open_stream()
                 assert stream and retries == 0
 
+    @pytest.mark.parametrize("overrides", [
+        {"pipeline": {"backend": "scalar"}},
+        {"pipeline": {"queue_capacity": "abc"}},
+        {"pipeline": {"gate_batch": None}},
+        {"pipeline": {"sample_rate": "x"}},
+        {"pipeline": {"sample_window": [4]}},
+        {"pipeline": "x"},
+        {"pipeline": [1, 2]},
+        {"latch": {"ctc_entries": "abc"}},
+        {"latch": {"domain_size": None}},
+        {"latch": "x"},
+    ], ids=[
+        "backend", "int-text", "int-null", "float-text", "int-list",
+        "pipeline-text", "pipeline-list", "latch-int-text",
+        "latch-int-null", "latch-text",
+    ])
+    def test_malformed_knob_refused_without_leaking_a_slot(self, overrides):
+        # A knob that does not convert is the client's error: a config
+        # reply on a connection that stays usable, and the slot back.
+        config = ServeConfig(max_inflight=2)
+        with running_server(config) as (server, (host, port)):
+            with ServeClient(host, port, tenant="bad") as client:
+                for _ in range(config.max_inflight + 1):
+                    client._send({"type": "stream_open", **overrides})
+                    reply = client._recv()
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "config"
+                    client._send({"type": "submit", "job": {
+                        "source": "halt", **overrides,
+                    }})
+                    reply = client._recv()
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "job"
+                assert client.ping()
+                assert len(server.inflight) == 0
+                stream, retries = client.open_stream()
+                assert stream and retries == 0
+
+    @pytest.mark.parametrize("job", [
+        {"source": "halt", "max_steps": "abc"},
+        {"source": "halt", "max_steps": None},
+        {"source": "halt", "files": 5},
+    ], ids=["max-steps-text", "max-steps-null", "files-int"])
+    def test_malformed_job_field_refused_on_a_live_connection(self, job):
+        with running_server() as (server, (host, port)):
+            with ServeClient(host, port, tenant="bad") as client:
+                client._send({"type": "submit", "job": job})
+                reply = client._recv()
+                assert reply["type"] == "error"
+                assert reply["code"] == "job"
+                assert client.ping()
+                assert len(server.inflight) == 0
+
     def test_zero_capacity_tenant_always_retry_never_error(self, traces):
         config = ServeConfig(tenant_overrides={
             "paused": TenantLimits(rate=0.0, burst=0.0),

@@ -6,10 +6,11 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.machine.cpu import CPU
-from repro.pipeline import PipelineConfig, StreamingPipeline
+from repro.pipeline import StreamingPipeline
 from repro.slatch.controller import Mode, SLatchSystem
 from repro.slatch.costs import SLatchCostModel
 from repro.workloads.programs import file_filter, phased_compute
+from tests.gate_reference import GATES, with_gate
 
 
 def make_system(scenario, timeout=1000):
@@ -203,8 +204,9 @@ class TestPinnedCounters:
             writeback_hits=0, suppressed=335,
         ),
     }
-    #: LatchStats of the pipeline's own LATCH under the scalar gate (the
-    #: vector gate classifies against the CTT and leaves them at zero).
+    #: LatchStats of the pipeline's own LATCH under the ``check_step``
+    #: reference gate (the production gate classifies against the CTT
+    #: and leaves them at zero).
     GATE_LATCH = {
         "phased_compute": dict(
             steps_checked=5092, memory_checks=48, register_positives=32,
@@ -227,13 +229,11 @@ class TestPinnedCounters:
         assert dataclasses.asdict(system.counters) == self.SLATCH[name]
         assert dataclasses.asdict(system.latch.stats) == self.LATCH[name]
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("backend", GATES)
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_gate_counters(self, name, backend):
         cpu = self.SCENARIOS[name]().make_cpu()
-        pipeline = StreamingPipeline(
-            cpu, config=PipelineConfig(backend=backend)
-        )
+        pipeline = with_gate(StreamingPipeline(cpu), backend)
         pipeline.run()
         assert dataclasses.asdict(pipeline.gate.stats) == self.GATE[name]
         latch = dataclasses.asdict(pipeline.latch.stats)
